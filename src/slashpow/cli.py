@@ -131,7 +131,11 @@ def _cmd_count_cycles(args: argparse.Namespace) -> int:
     params = _parse_params(args.params)
     if args.edge_label:
         base = LaaksoBase.from_measured(uniform_laakso(params))
-        label = tuple(int(x) for x in args.edge_label.split("/"))
+        try:
+            label = tuple(int(x) for x in args.edge_label.split("/"))
+        except ValueError as exc:
+            raise InputError(f"bad edge label {args.edge_label!r}: "
+                             "want slash-separated integers") from exc
         if len(label) != args.n:
             raise InputError(f"label depth {len(label)} does not match --n {args.n}")
         value = count_max_cycles_through_edge(base, label)

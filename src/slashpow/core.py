@@ -34,15 +34,27 @@ DEFAULT_PATH_CAP = 1 << 20
 _ONE = Fraction(1)
 
 
+def _env_cap(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # refused below, like any other value below 1
+    if cap < 1:
+        raise InputError(f"{name} must be a positive integer, got {raw!r}")
+    return cap
+
+
 def edge_cap() -> int:
     """Materialization cap, overridable via SLASHPOW_MAX_EDGES."""
-    raw = os.environ.get("SLASHPOW_MAX_EDGES")
-    return int(raw) if raw else DEFAULT_EDGE_CAP
+    return _env_cap("SLASHPOW_MAX_EDGES", DEFAULT_EDGE_CAP)
 
 
 def path_cap() -> int:
-    raw = os.environ.get("SLASHPOW_MAX_PATHS")
-    return int(raw) if raw else DEFAULT_PATH_CAP
+    """Enumeration cap, overridable via SLASHPOW_MAX_PATHS."""
+    return _env_cap("SLASHPOW_MAX_PATHS", DEFAULT_PATH_CAP)
 
 
 def as_weight(value) -> Fraction:

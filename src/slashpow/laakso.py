@@ -7,10 +7,11 @@ restricted edge measure."""
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .constructions import (
     LaaksoParams,
@@ -97,13 +98,36 @@ def max_cycle_edge_count(params: LaaksoParams, n: int) -> int:
     return 2 * l * route ** (n - 1)
 
 
+def _power_of_two(terms: Iterable[int]) -> int:
+    """2**sum(terms), refused as soon as the running sum makes the decimal
+    form too long to print.
+
+    Python will not render an int with more than sys.get_int_max_str_digits()
+    decimal digits (PYTHONINTMAXSTRDIGITS); when that limit is disabled the
+    default of 4300 digits still bounds the counts built here.  The terms
+    are nonnegative, so a huge power stops after a few of them.
+    """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    exponent = 0
+    for term in terms:
+        exponent += term
+        # 2**e has at most `digits` decimal digits iff 2**e < 10**digits;
+        # below 3*digits that holds (8**digits < 10**digits), so the exact
+        # test, which builds 10**digits, runs only for large exponents.
+        if exponent >= 3 * digits and exponent >= (10 ** digits).bit_length():
+            raise CapExceeded(f"cycle count has more than {digits} decimal "
+                              "digits (the int-to-str limit, "
+                              "PYTHONINTMAXSTRDIGITS)")
+    return 2 ** exponent
+
+
 def count_max_cycles(params: LaaksoParams, n: int) -> int:
-    """Number of maximal-length cycles in the n-th power (exact big integer)."""
+    """Number of maximal-length cycles in the n-th power (exact big integer):
+    2 to the power 2l(1 + route + ... + route^(n-2))."""
     l, route = _require_balanced(params)
     if n < 1:
         raise InputError("power must be at least 1")
-    geometric = (route ** (n - 1) - 1) // (route - 1)
-    return 2 ** (2 * l * geometric)
+    return _power_of_two(2 * l * route ** i for i in range(n - 1))
 
 
 def count_max_cycles_through_edge(base: LaaksoBase, label: EdgeLabel) -> int:
@@ -123,13 +147,9 @@ def count_max_cycles_through_edge(base: LaaksoBase, label: EdgeLabel) -> int:
             raise InputError(f"bad edge coordinate in {label}")
     if label[0] not in base.cycle_edge_ids:
         return 0
-    total = 1
-    for j in range(2, len(label) + 1):
-        exponent = 2 * l * route ** (j - 2)
-        if label[j - 1] in base.cycle_edge_ids:
-            exponent -= 1
-        total *= 2 ** exponent
-    return total
+    return _power_of_two(
+        2 * l * route ** (j - 2) - (label[j - 1] in base.cycle_edge_ids)
+        for j in range(2, len(label) + 1))
 
 
 def enumerate_max_cycles(power: SlashPower,

@@ -132,3 +132,32 @@ def test_verify_cor42(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
     assert len(doc["rows"]) == 4
+
+
+def test_count_cycles_too_long_to_print_is_a_cap(capsys):
+    # 2^(4(2^12 - 1)) has 4931 decimal digits, past Python's default limit of
+    # 4300: refused with the cap exit code instead of an int-to-str ValueError.
+    for extra in ([], ["--json"]):
+        assert main(["count-cycles", "--params", "0,2,2,0", "--n", "13",
+                     *extra]) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert "decimal digits" in err and "Traceback" not in err
+    # The largest diamond power whose count still prints.
+    assert main(["count-cycles", "--params", "0,2,2,0", "--n", "12"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == str(2 ** (4 * (2 ** 11 - 1)))
+
+
+def test_count_cycles_malformed_edge_label(capsys):
+    assert main(["count-cycles", "--params", "0,2,2,0", "--n", "2",
+                 "--edge-label", "a/b"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "bad edge label" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["SLASHPOW_MAX_EDGES", "SLASHPOW_MAX_PATHS"])
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_malformed_env_caps(capsys, diamond_file, monkeypatch, name, raw):
+    monkeypatch.setenv(name, raw)
+    assert main(["pipeline", "--graph", str(diamond_file)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import networkx as nx
@@ -9,9 +10,10 @@ import slashpow as sp
 from helpers import diamond, laakso0230, laakso1221, theta
 from slashpow.constructions import LaaksoParams, uniform_laakso
 from slashpow.core import cycle_edge_indices, geodesic_metric, single_source_distances
-from slashpow.errors import InputError, NoCycle, SelectorError
+from slashpow.errors import CapExceeded, InputError, NoCycle, SelectorError
 from slashpow.laakso import (
     LaaksoBase,
+    _power_of_two,
     balanced_laakso_pipeline,
     balancing_power,
     count_max_cycles,
@@ -37,6 +39,30 @@ def test_closed_form_counts():
     assert count_max_cycles(L1221_P, 1) == 1
     with pytest.raises(InputError):
         count_max_cycles(LaaksoParams(0, 2, 3, 0), 2)
+
+
+def test_counts_capped_at_the_int_to_str_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        # 2^14284 is the largest power of two that still prints.
+        assert len(str(2 ** 14284)) == 4300
+        with pytest.raises(ValueError):
+            str(2 ** 14285)
+        assert _power_of_two([14000, 284]) == 2 ** 14284
+        with pytest.raises(CapExceeded):
+            _power_of_two([14000, 285])
+        base = LaaksoBase.from_measured(diamond())
+        assert count_max_cycles_through_edge(base, (0,) * 12) == 2 ** (4 * 2047 - 11)
+        with pytest.raises(CapExceeded):
+            count_max_cycles_through_edge(base, (0,) * 13)
+        # With the limit disabled the default still bounds the work: a huge
+        # power is refused after a few levels, not computed.
+        sys.set_int_max_str_digits(0)
+        with pytest.raises(CapExceeded):
+            count_max_cycles(DIAMOND_P, 10 ** 9)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_reference_per_edge_counts():

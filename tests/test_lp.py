@@ -4,6 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import lp_reference
+from helpers import diamond, unit_cycle_measured
+from slashpow.core import geodesic_metric
+from slashpow.embeddings import iter_labeled_trees, optimal_tree_weights
+from slashpow.embeddings import oracle as oracle_module
 from slashpow.embeddings.lp import solve_min
 from slashpow.errors import LPError
 
@@ -103,6 +108,68 @@ def test_against_vertex_enumeration():
                 best = val
         assert best is not None
         assert mine.value == best
+
+
+def _outcome(solver, c, a, b):
+    try:
+        return solver(c, a, b)
+    except LPError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("mg, stride", [(diamond(), 1),
+                                        (unit_cycle_measured(4), 1),
+                                        (unit_cycle_measured(5), 7)],
+                         ids=["diamond", "cycle4", "cycle5-every-7th"])
+def test_same_solution_as_reference_on_oracle_topologies(mg, stride, monkeypatch):
+    # The integer tableau takes the Fraction tableau's Bland pivots, so even
+    # where the optimum is not unique it lands on the same vertex x.
+    solved = []
+
+    def both(c, a, b):
+        res = solve_min(c, a, b)
+        assert res == lp_reference.solve_min(c, a, b)
+        solved.append(res)
+        return res
+
+    monkeypatch.setattr(oracle_module, "solve_min", both)
+    metric = geodesic_metric(mg.graph)
+    trees = list(iter_labeled_trees(mg.graph.vertex_count))[::stride]
+    for _, edges in trees:
+        optimal_tree_weights(metric, mg.nu, edges)
+    assert len(solved) == len(trees)
+
+
+def test_same_solution_as_reference_on_random_instances():
+    # Fractional and negative coefficients, zero and duplicated rows (which
+    # leave artificials to evict after phase 1), feasible, infeasible and
+    # unbounded instances: the same x, value or LPError message every time.
+    rng = random.Random(20230609)
+
+    def coeff():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randrange(-3, 7), rng.choice((1, 1, 2, 3, 5, 7)))
+
+    outcomes = {}
+    for _ in range(600):
+        n = rng.randrange(0, 6)
+        m = rng.randrange(0, 7)
+        a = [[coeff() for _ in range(n)] for _ in range(m)]
+        b = [abs(coeff()) for _ in range(m)]
+        if m and rng.random() < 0.3:
+            i = rng.randrange(m)
+            k = F(rng.randrange(1, 4), rng.randrange(1, 4))
+            a.append([k * v for v in a[i]])
+            b.append(k * b[i])
+        c = [coeff() for _ in range(n)]
+        mine = _outcome(solve_min, c, a, b)
+        assert mine == _outcome(lp_reference.solve_min, c, a, b)
+        kind = mine if isinstance(mine, str) else "optimal"
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert set(outcomes) == {"optimal", "infeasible constraints",
+                             "unbounded objective"}
+    assert min(outcomes.values()) >= 100
 
 
 def _solve_square(a, b):

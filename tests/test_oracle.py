@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import slashpow as sp
-from helpers import diamond, unit_cycle_measured
+from helpers import diamond, laakso1221, unit_cycle_measured
 from slashpow.core import geodesic_metric
 from slashpow.embeddings import (
     check_expansive,
@@ -20,6 +20,7 @@ from slashpow.errors import CapExceeded
 # plus exact LP) and confirmed against the by-hand candidates; frozen.
 GOLDEN_DIAMOND = F(3, 2)
 GOLDEN_UNIT_4_CYCLE = F(3, 2)
+GOLDEN_LAAKSO_1221 = F(5, 4)
 
 
 def test_prufer_decode_basics():
@@ -59,6 +60,14 @@ def test_oracle_diamond_golden():
 def test_oracle_unit_4_cycle_golden():
     res = oracle_min_expected_distortion(unit_cycle_measured(4))
     assert res.value == GOLDEN_UNIT_4_CYCLE
+
+
+def test_oracle_laakso_1221_golden():
+    # All 1,296 topologies on six vertices; the benchmark checks these values.
+    res = oracle_min_expected_distortion(laakso1221())
+    assert res.value == GOLDEN_LAAKSO_1221
+    assert res.prufer == (1, 1, 2, 4)
+    assert res.tree.weights == (F(1, 4),) * 5
 
 
 def test_oracle_deterministic_tie_break():
