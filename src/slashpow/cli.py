@@ -26,12 +26,7 @@ from .constructions import (
     uniform_laakso,
 )
 from .core import StGraph
-from .embeddings import (
-    distortion_report,
-    frt_embed,
-    lower_bound_c_nu,
-    stochastic_distortion_of,
-)
+from .embeddings import distortion_report, frt_embed, lower_bound_c_nu
 from .errors import CapExceeded, InputError, SchemaError, SlashpowError
 from .laakso import (
     balanced_laakso_pipeline,
@@ -52,10 +47,7 @@ EXIT_IO = 5
 
 
 def _parse_weights(raw: str) -> list[Fraction]:
-    try:
-        return [Fraction(part) for part in raw.split(",") if part]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad weight list {raw!r}: {exc}") from exc
+    return [ser.parse_fraction(part) for part in raw.split(",") if part]
 
 
 def _parse_params(raw: str) -> LaaksoParams:
@@ -79,9 +71,11 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 def _load_graph(path: str) -> StGraph | MeasuredGraph:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IOError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
     return ser.loads(text)
 
 
@@ -180,11 +174,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_embed_frt(args: argparse.Namespace) -> int:
     mg = _need_measured(_load_graph(args.graph))
-    from .core import geodesic_metric
-    metric = geodesic_metric(mg.graph)
-    emb = frt_embed(metric, seed=args.seed, samples=args.samples)
+    emb = frt_embed(mg.graph.metric, seed=args.seed, samples=args.samples)
     report = distortion_report(mg, emb)
-    value = stochastic_distortion_of(mg.graph, emb)
+    value = report.worst_stretch
     if args.report:
         with open(args.report, "w", newline="") as fh:
             writer = csv.writer(fh)

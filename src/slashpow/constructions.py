@@ -5,23 +5,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .core import (
     CycleSeq,
-    GeodesicMetric,
     PathSeq,
     StGraph,
     as_weight,
     concat_paths,
-    geodesic_metric,
+    edge_cap,
     is_cycle_in,
     shortest_path_lex,
     single_source_distances,
     validate_st_graph,
 )
-from .errors import InputError, InvalidPath, NoBalancedSplit, NotLaakso
+from .errors import CapExceeded, InputError, InvalidPath, NoBalancedSplit, NotLaakso
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -52,10 +50,6 @@ class MeasuredGraph:
             total += x
         if total != 1:
             raise InputError(f"measure sums to {total}, not 1")
-
-    @cached_property
-    def metric(self) -> GeodesicMetric:
-        return geodesic_metric(self.graph)
 
 
 def build_path(weights: Sequence) -> MeasuredGraph:
@@ -240,6 +234,9 @@ def uniform_laakso(params: LaaksoParams | tuple[int, int, int, int]) -> Measured
     edge weight is equal.
     """
     p = params if isinstance(params, LaaksoParams) else LaaksoParams(*params)
+    if p.edge_count > edge_cap():
+        raise CapExceeded(f"Laakso graph would have {p.edge_count} edges, "
+                          f"cap {edge_cap()}")
     unit = Fraction(1, p.k + p.l1 + p.m)
     b2 = Fraction(p.l1, p.l2) * unit
     return build_laakso(p, stem=[unit] * p.k, branch1=[unit] * p.l1,
@@ -359,6 +356,19 @@ def build_laakso_subgraph(g: StGraph, stem: Sequence[int], arc1: Sequence[int],
                           parent_edges=tuple(parent_edges))
 
 
+def _stem_and_tail(g: StGraph, cycle: Sequence[int]) -> tuple[PathSeq, PathSeq]:
+    """The lexicographically least shortest paths from s to the cycle vertex
+    y nearest s and from the cycle vertex z nearest t to t; ties between
+    cycle vertices go to the smaller id."""
+    from_s = single_source_distances(g, g.s)
+    to_t = single_source_distances(g, g.t)
+    y = min(cycle, key=lambda x: (from_s[x], x))
+    z = min(cycle, key=lambda x: (to_t[x], x))
+    stem = shortest_path_lex(g, g.s, y, dist_to_v=single_source_distances(g, y))
+    tail = shortest_path_lex(g, z, g.t, dist_to_v=to_t)
+    return stem, tail
+
+
 def laakso_from_cycle(g: StGraph, cycle: Sequence[int]) -> LaaksoSubgraph:
     """Grow a cycle of a geodesic s-t graph into a Laakso s-t subgraph.
 
@@ -370,15 +380,10 @@ def laakso_from_cycle(g: StGraph, cycle: Sequence[int]) -> LaaksoSubgraph:
     """
     if not is_cycle_in(g, cycle):
         raise InvalidPath(f"{tuple(cycle)} is not a cycle of the graph")
-    from_s = single_source_distances(g, g.s)
-    to_t = single_source_distances(g, g.t)
-    y = min(cycle, key=lambda x: (from_s[x], x))
-    z = min(cycle, key=lambda x: (to_t[x], x))
+    stem, tail = _stem_and_tail(g, cycle)
+    y, z = stem[-1], tail[0]
     if y == z:
         raise NotLaakso("cycle collapses: nearest points to s and t coincide")
-
-    stem = shortest_path_lex(g, g.s, y, dist_to_v=single_source_distances(g, y))
-    tail = shortest_path_lex(g, z, g.t, dist_to_v=to_t)
 
     # Split the cycle into its two y-z arcs.
     c = list(cycle)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -55,6 +56,16 @@ def edge_cap() -> int:
 def path_cap() -> int:
     """Enumeration cap, overridable via SLASHPOW_MAX_PATHS."""
     return _env_cap("SLASHPOW_MAX_PATHS", DEFAULT_PATH_CAP)
+
+
+def _str_digit_limit() -> int:
+    """Most decimal digits Python renders an int with.
+
+    That is sys.get_int_max_str_digits() (PYTHONINTMAXSTRDIGITS); when the
+    limit is disabled, its default of 4300 still bounds the big numbers
+    built from user input.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def as_weight(value) -> Fraction:
@@ -156,6 +167,11 @@ class StGraph:
     def edge_name(self, i: int) -> str:
         u, v = self.edges[i]
         return f"{self.names[u]}->{self.names[v]}"
+
+    @cached_property
+    def metric(self) -> GeodesicMetric:
+        """All-pairs distances, computed once per graph."""
+        return geodesic_metric(self)
 
 
 @dataclass(frozen=True)
@@ -436,12 +452,12 @@ def _count_dag_st_paths(g: StGraph) -> int:
 
 def st_path_length_range(g: StGraph,
                          cap: Optional[int] = None) -> tuple[Fraction, Fraction]:
-    """(min, max) metric length over all directed s-t paths."""
+    """(min, max) metric length over all directed s-t paths; raises
+    NotGeodesicStGraph when the graph fails validate_st_graph."""
+    if not validate_st_graph(g).ok:
+        raise NotGeodesicStGraph("graph fails s-t validation")
     order = topological_order(g)
     if order is not None:
-        report = validate_st_graph(g)
-        if not report.ok:
-            raise NotGeodesicStGraph("graph fails s-t validation")
         lo: dict[int, Fraction] = {g.s: Fraction(0)}
         hi: dict[int, Fraction] = {g.s: Fraction(0)}
         for u in order:
@@ -465,9 +481,10 @@ def st_path_length_range(g: StGraph,
 
 def is_normalized_geodesic_st(g: StGraph) -> bool:
     """True iff the graph validates and every directed s-t path has length 1."""
-    if not validate_st_graph(g).ok:
+    try:
+        lo, hi = st_path_length_range(g)
+    except NotGeodesicStGraph:
         return False
-    lo, hi = st_path_length_range(g)
     return lo == hi == _ONE
 
 
@@ -522,8 +539,6 @@ def normalize(g: StGraph) -> StGraph:
 
     Raises NotGeodesicStGraph when s-t paths disagree in length.
     """
-    if not validate_st_graph(g).ok:
-        raise NotGeodesicStGraph("graph fails s-t validation")
     lo, hi = st_path_length_range(g)
     if lo != hi:
         raise NotGeodesicStGraph(f"s-t path lengths range from {lo} to {hi}")

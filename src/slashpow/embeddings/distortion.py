@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..constructions import MeasuredGraph
-from ..core import GeodesicMetric, StGraph, cycle_edge_indices, geodesic_metric
+from ..core import GeodesicMetric, StGraph, cycle_edge_indices
 from ..errors import EdgeSizeViolation, InputError, NotExpansive
 from ..laakso import LaaksoBase, enumerate_max_cycles
 from ..slash import SlashPower
@@ -32,7 +32,7 @@ def expected_distortion(mg: MeasuredGraph, tree: GeodesicTree,
     g = mg.graph
     if len(tmap.vertex_map) != g.vertex_count:
         raise InputError("map must cover every vertex")
-    metric = geodesic_metric(g)
+    metric = g.metric
     total = ZERO
     for ei, (u, v) in enumerate(g.edges):
         stretch = tree.distance(tmap(u), tmap(v)) / metric.d(u, v)
@@ -51,24 +51,38 @@ def check_expansive(metric: GeodesicMetric, tree: GeodesicTree,
     return True, None
 
 
+_PairRow = tuple[int, int, Fraction, Fraction, Fraction]  # (u, v, d_X, mean d_T, stretch)
+
+
+def _pair_rows(g: StGraph, emb: StochasticTreeEmbedding) -> list[_PairRow]:
+    """One row per pair u < v, reading each tree distance once.  A
+    contraction raises NotExpansive for the first contracting component and
+    its first contracted pair, as check_expansive finds them."""
+    metric = g.metric
+    contracted: dict[int, tuple[int, int]] = {}
+    rows: list[_PairRow] = []
+    n = g.vertex_count
+    for u in range(n):
+        for v in range(u + 1, n):
+            d, mean = metric.d(u, v), ZERO
+            for idx, (tree, tmap, p) in enumerate(emb):
+                dt = tree.distance(tmap(u), tmap(v))
+                if dt < d:
+                    contracted.setdefault(idx, (u, v))
+                mean += p * dt
+            rows.append((u, v, d, mean, mean / d))
+    if contracted:
+        idx = min(contracted)
+        raise NotExpansive(f"component {idx} contracts pair {contracted[idx]}")
+    return rows
+
+
 def stochastic_distortion_of(g: StGraph, emb: StochasticTreeEmbedding) -> Fraction:
     """Worst pair's expected image distance over its own distance.
 
     Every component must be expansive; a contracted pair raises NotExpansive.
     """
-    metric = geodesic_metric(g)
-    for idx, (tree, tmap, _) in enumerate(emb):
-        ok, witness = check_expansive(metric, tree, tmap)
-        if not ok:
-            raise NotExpansive(f"component {idx} contracts pair {witness}")
-    worst = ZERO
-    n = g.vertex_count
-    for u in range(n):
-        for v in range(u + 1, n):
-            mean = sum((p * tree.distance(tmap(u), tmap(v))
-                        for tree, tmap, p in emb), ZERO)
-            worst = max(worst, mean / metric.d(u, v))
-    return worst
+    return max((row[4] for row in _pair_rows(g, emb)), default=ZERO)
 
 
 @dataclass(frozen=True)
@@ -78,25 +92,19 @@ class DistortionReport:
     expected_distortion: tuple[Fraction, ...]  # per component
     worst_pair: tuple[int, int]
     worst_stretch: Fraction
-    rows: tuple[tuple[int, int, Fraction, Fraction, Fraction], ...]
-    # rows: (u, v, d_X, mean d_T, stretch)
+    rows: tuple[_PairRow, ...]
 
 
 def distortion_report(mg: MeasuredGraph, emb: StochasticTreeEmbedding) -> DistortionReport:
-    g = mg.graph
-    metric = geodesic_metric(g)
+    """Per-pair rows, the worst pair and per-component expected distortion;
+    a contraction raises NotExpansive, as in stochastic_distortion_of."""
     per_component = tuple(expected_distortion(mg, tree, tmap)
                           for tree, tmap, _ in emb)
-    rows: list[tuple[int, int, Fraction, Fraction, Fraction]] = []
+    rows = _pair_rows(mg.graph, emb)
     worst = (ZERO, (0, 0))
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            mean = sum((p * tree.distance(tmap(u), tmap(v))
-                        for tree, tmap, p in emb), ZERO)
-            stretch = mean / metric.d(u, v)
-            rows.append((u, v, metric.d(u, v), mean, stretch))
-            if stretch > worst[0]:
-                worst = (stretch, (u, v))
+    for u, v, _, _, stretch in rows:
+        if stretch > worst[0]:
+            worst = (stretch, (u, v))
     return DistortionReport(expected_distortion=per_component,
                             worst_pair=worst[1], worst_stretch=worst[0],
                             rows=tuple(rows))
@@ -110,7 +118,7 @@ def cycle_embedding_witness(cycle_graph: StGraph, tree: GeodesicTree,
     that, so the search raises instead of returning quietly.
     """
     g = cycle_graph
-    metric = geodesic_metric(g)
+    metric = g.metric
     ok, witness = check_expansive(metric, tree, tmap)
     if not ok:
         raise NotExpansive(f"map contracts pair {witness}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from ..constructions import MeasuredGraph
-from ..core import GeodesicMetric, geodesic_metric
+from ..core import GeodesicMetric
 from ..errors import CapExceeded, InputError
 from .lp import solve_min
 from .trees import GeodesicTree, TreeMap, identity_tree_map
@@ -132,7 +132,7 @@ def oracle_min_expected_distortion(mg: MeasuredGraph,
         raise CapExceeded(f"{n} vertices exceed the oracle cap {vertex_cap}")
     if n < 2:
         raise InputError("need at least two vertices")
-    metric = geodesic_metric(g)
+    metric = g.metric
 
     best: Optional[tuple[Fraction, tuple[int, ...], tuple[tuple[int, int], ...],
                          tuple[Fraction, ...]]] = None

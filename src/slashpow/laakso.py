@@ -7,7 +7,6 @@ restricted edge measure."""
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,6 +17,7 @@ from .constructions import (
     LaaksoStructure,
     LaaksoSubgraph,
     MeasuredGraph,
+    _stem_and_tail,
     as_laakso,
     build_laakso_subgraph,
     laakso_from_cycle,
@@ -27,14 +27,15 @@ from .core import (
     CycleSeq,
     PathSeq,
     StGraph,
+    _str_digit_limit,
     cycle_edge_indices,
+    cycle_metric_length,
     enumerate_cycles,
     enumerate_st_paths,
-    geodesic_metric,
     is_normalized_geodesic_st,
     is_strictly_geodesic_st,
     path_cap,
-    shortest_path_lex,
+    path_length,
     single_source_distances,
 )
 from .errors import (
@@ -100,14 +101,10 @@ def max_cycle_edge_count(params: LaaksoParams, n: int) -> int:
 
 def _power_of_two(terms: Iterable[int]) -> int:
     """2**sum(terms), refused as soon as the running sum makes the decimal
-    form too long to print.
-
-    Python will not render an int with more than sys.get_int_max_str_digits()
-    decimal digits (PYTHONINTMAXSTRDIGITS); when that limit is disabled the
-    default of 4300 digits still bounds the counts built here.  The terms
-    are nonnegative, so a huge power stops after a few of them.
+    form too long to print (see core._str_digit_limit).  The terms are
+    nonnegative, so a huge power stops after a few of them.
     """
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    digits = _str_digit_limit()
     exponent = 0
     for term in terms:
         exponent += term
@@ -307,21 +304,13 @@ def find_balanced_laakso(mg: MeasuredGraph,
     u, v = st.branch1[0], st.tail[0]
     assert (q1[0], q1[-1]) == (u, v) and (q2[0], q2[-1]) == (u, v)
 
-    def metric_len(path: PathSeq) -> Fraction:
-        return sum((g.weights[g.edge_index(a, b)] for a, b in zip(path, path[1:])), ZERO)
-
     half = base.c0 / 2
-    if metric_len(q1) != half or metric_len(q2) != half:
+    if path_length(g, q1) != half or path_length(g, q2) != half:
         raise InputError("lifted arcs do not halve the base cycle length")
 
     cycle: CycleSeq = tuple(q1[:-1]) + tuple(reversed(q2[1:]))
-    from_s = single_source_distances(g, g.s)
-    to_t = single_source_distances(g, g.t)
-    y = min(cycle, key=lambda x: (from_s[x], x))
-    z = min(cycle, key=lambda x: (to_t[x], x))
-    assert y == u and z == v, "junctions are no longer the nearest cycle vertices"
-    r1 = shortest_path_lex(g, g.s, u, dist_to_v=single_source_distances(g, u))
-    r2 = shortest_path_lex(g, v, g.t, dist_to_v=to_t)
+    r1, r2 = _stem_and_tail(g, cycle)
+    assert (r1[-1], r2[0]) == (u, v), "junctions are no longer the nearest cycle vertices"
 
     sub = build_laakso_subgraph(g, r1, q1, q2, r2)
     assert sub.structure.params.balanced
@@ -362,13 +351,8 @@ def balanced_laakso_pipeline(mg: MeasuredGraph,
     cycles = enumerate_cycles(g, cap)
     if not cycles:
         raise NoCycle("input graph is a path")
-    metric = geodesic_metric(g)
-
-    def cycle_len(c: CycleSeq) -> Fraction:
-        return sum((metric.edge_distance(ei) for ei in cycle_edge_indices(g, c)), ZERO)
-
-    c0 = max(cycle_len(c) for c in cycles)
-    cycle0 = min((c for c in cycles if cycle_len(c) == c0))
+    c0 = max(cycle_metric_length(g.metric, c) for c in cycles)
+    cycle0 = min((c for c in cycles if cycle_metric_length(g.metric, c) == c0))
     quarter = c0 / 4
 
     # Already small and balanced: nothing to do beyond attaching the measure.
@@ -443,7 +427,7 @@ def _spot_check_isometry(big: StGraph, sub: LaaksoSubgraph,
                          sources: int = 8) -> None:
     """Induced distances from a few subgraph vertices must equal the ambient
     restriction; deterministic choice of sources spread over the segments."""
-    small_metric = geodesic_metric(sub.graph)
+    small_metric = sub.graph.metric
     nv = sub.graph.vertex_count
     step = max(1, nv // sources)
     for u in range(0, nv, step):

@@ -16,12 +16,15 @@ the edge set.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
 from .constructions import MeasuredGraph
-from .core import StGraph
+from .core import StGraph, _str_digit_limit
 from .errors import SchemaError
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 
 def fraction_str(x: Fraction) -> str:
@@ -29,11 +32,30 @@ def fraction_str(x: Fraction) -> str:
 
 
 def parse_fraction(raw: Any) -> Fraction:
+    """An exact rational from an int or from a string Fraction accepts
+    ("3/4", "-2", "1.5e-3").
+
+    A decimal string whose digits plus exponent pass the int-to-str digit
+    limit is refused before Fraction builds it: the value could not be
+    printed, and a large exponent alone takes unbounded time and memory.
+    Fraction's own int parsing bounds the "num/den" form.
+    """
     if isinstance(raw, str):
+        if "/" not in raw:
+            match = _EXPONENT.search(raw)
+            mantissa = raw[:match.start()] if match else raw
+            try:
+                exponent = int(match.group(1)) if match else 0
+            except ValueError as exc:
+                raise SchemaError(f"bad rational exponent in {raw[:40]!r}") from exc
+            limit = _str_digit_limit()
+            if sum(ch.isdigit() for ch in mantissa) + abs(exponent) > limit:
+                raise SchemaError(f"rational {raw[:40]!r} would have more than "
+                                  f"{limit} digits")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational {raw!r}") from exc
+            raise SchemaError(f"bad rational {raw[:40]!r}") from exc
     if isinstance(raw, int):
         return Fraction(raw)
     raise SchemaError(f"rational must be a string or integer, got {type(raw).__name__}")
@@ -75,7 +97,7 @@ def graph_from_dict(doc: dict) -> StGraph:
     index = {name: i for i, name in enumerate(names)}
 
     def vid(name: Any) -> int:
-        if name not in index:
+        if not isinstance(name, str) or name not in index:
             raise SchemaError(f"unknown vertex {name!r}")
         return index[name]
 
@@ -140,8 +162,10 @@ def dumps(obj: StGraph | MeasuredGraph, indent: int | None = 2) -> str:
 def loads(text: str) -> StGraph | MeasuredGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply") from exc
     if isinstance(doc, dict) and "measure" in doc:
         return measured_from_dict(doc)
     return graph_from_dict(doc)

@@ -21,7 +21,6 @@ from .core import (
     PathSeq,
     StGraph,
     edge_cap,
-    geodesic_metric,
     is_normalized_geodesic_st,
 )
 from .errors import CapExceeded, InputError, InvalidPath, NotNormalized
@@ -45,6 +44,37 @@ def _interiors(g: StGraph) -> tuple[int, ...]:
     return tuple(v for v in range(g.vertex_count) if v not in (g.s, g.t))
 
 
+def _substitute(h: StGraph, replaced: Sequence[int], g: StGraph,
+                interior_name: Callable[[int, int], str]
+                ) -> tuple[StGraph, tuple[tuple[int, ...], ...]]:
+    """Replace each listed edge of h by a copy of the s-t graph g, with s and
+    t at the edge's tail and head and weights scaled by the edge's weight.
+
+    Kept edges come first, then each copy's edges in g's order.  Returns the
+    graph and, per listed edge ei, the map from g's vertex ids to the copy's,
+    whose interior vertex v is named interior_name(ei, v)."""
+    names = list(h.names)
+    gone = set(replaced)
+    edges = [e for i, e in enumerate(h.edges) if i not in gone]
+    weights = [w for i, w in enumerate(h.weights) if i not in gone]
+    interiors = _interiors(g)
+    tables: list[tuple[int, ...]] = []
+    for ei in replaced:
+        table = [0] * g.vertex_count
+        table[g.s], table[g.t] = h.edges[ei]
+        for v in interiors:
+            table[v] = len(names)
+            names.append(interior_name(ei, v))
+        scale = h.weights[ei]
+        for (u, v), w in zip(g.edges, g.weights):
+            edges.append((table[u], table[v]))
+            weights.append(scale * w)
+        tables.append(tuple(table))
+    graph = StGraph(names=_uniquify(names), edges=tuple(edges),
+                    weights=tuple(weights), s=h.s, t=h.t)
+    return graph, tuple(tables)
+
+
 def _raw_product(h: MeasuredGraph, g: MeasuredGraph,
                  interior_name: Callable[[int, int], str]
                  ) -> tuple[MeasuredGraph, tuple[tuple[int, ...], ...]]:
@@ -53,33 +83,10 @@ def _raw_product(h: MeasuredGraph, g: MeasuredGraph,
     Returns the measured product and, per h-edge, the map from base vertex id
     to product vertex id (copy boundaries resolve to the h-edge endpoints).
     """
-    hg, gg = h.graph, g.graph
-    interiors = _interiors(gg)
-    names = list(hg.names)
-    copy_vertices: list[tuple[int, ...]] = []
-    for ei, (tail, head) in enumerate(hg.edges):
-        table = [0] * gg.vertex_count
-        table[gg.s] = tail
-        table[gg.t] = head
-        for v in interiors:
-            table[v] = len(names)
-            names.append(interior_name(ei, v))
-        copy_vertices.append(tuple(table))
-
-    edges: list[tuple[int, int]] = []
-    weights: list[Fraction] = []
-    nu: list[Fraction] = []
-    for ei in range(hg.edge_count):
-        table = copy_vertices[ei]
-        wh, nh = hg.weights[ei], h.nu[ei]
-        for fi, (u, v) in enumerate(gg.edges):
-            edges.append((table[u], table[v]))
-            weights.append(wh * gg.weights[fi])
-            nu.append(nh * g.nu[fi])
-
-    graph = StGraph(names=_uniquify(names), edges=tuple(edges),
-                    weights=tuple(weights), s=hg.s, t=hg.t)
-    return MeasuredGraph(graph=graph, nu=tuple(nu)), tuple(copy_vertices)
+    graph, copy_vertices = _substitute(h.graph, range(h.graph.edge_count),
+                                       g.graph, interior_name)
+    nu = tuple(nh * x for nh in h.nu for x in g.nu)
+    return MeasuredGraph(graph=graph, nu=nu), copy_vertices
 
 
 def _require_normalized(mg: MeasuredGraph, role: str) -> None:
@@ -122,9 +129,9 @@ class SlashPower:
     def graph(self) -> MeasuredGraph:
         return self.levels[-1].measured
 
-    @cached_property
+    @property
     def metric(self) -> GeodesicMetric:
-        return geodesic_metric(self.graph.graph)
+        return self.graph.graph.metric
 
     def level_graph(self, level: int) -> MeasuredGraph:
         return self.levels[level - 1].measured
@@ -166,9 +173,11 @@ def slash_power(mg: MeasuredGraph, n: int, cap: Optional[int] = None) -> SlashPo
     if n < 1:
         raise InputError("power must be at least 1")
     cap = edge_cap() if cap is None else cap
-    if mg.graph.edge_count ** n > cap:
-        raise CapExceeded(
-            f"power would have {mg.graph.edge_count ** n} edges, cap {cap}")
+    e = mg.graph.edge_count
+    # e**n is never built: cap.bit_length() + 1 factors e >= 2 already pass
+    # the cap.  Every level holds an edge, so n > cap is refused as well.
+    if n > cap or e ** min(n, cap.bit_length() + 1) > cap:
+        raise CapExceeded(f"power {n} of a {e}-edge base exceeds the edge cap {cap}")
     _require_normalized(mg, "base")
 
     base_names = mg.graph.names
@@ -201,22 +210,7 @@ def replace_edge(h: StGraph, eidx: int, g: StGraph) -> StGraph:
     """
     if not (0 <= eidx < h.edge_count):
         raise InputError(f"edge {eidx} out of range")
-    tail, head = h.edges[eidx]
-    scale = h.weights[eidx]
-    names = list(h.names)
-    table = [0] * g.vertex_count
-    table[g.s] = tail
-    table[g.t] = head
-    for v in _interiors(g):
-        table[v] = len(names)
-        names.append(f"r{eidx}:{g.names[v]}")
-    edges = [e for i, e in enumerate(h.edges) if i != eidx]
-    weights = [w for i, w in enumerate(h.weights) if i != eidx]
-    for fi, (u, v) in enumerate(g.edges):
-        edges.append((table[u], table[v]))
-        weights.append(scale * g.weights[fi])
-    return StGraph(names=_uniquify(names), edges=tuple(edges),
-                   weights=tuple(weights), s=h.s, t=h.t)
+    return _substitute(h, [eidx], g, lambda _, v: f"r{eidx}:{g.names[v]}")[0]
 
 
 def _require_base_st_path(base: StGraph, p: Sequence[int]) -> None:
@@ -230,22 +224,25 @@ def _require_base_st_path(base: StGraph, p: Sequence[int]) -> None:
             raise InvalidPath("choice must follow the base orientation")
 
 
-def lift_path(power: SlashPower, level: int, path: Sequence[int],
-              choices: Sequence[Sequence[int]]) -> PathSeq:
-    """Lift a path of power `level` into power `level + 1`.
+def _lift(power: SlashPower, level: int, walk: Sequence[int],
+          choices: Sequence[Sequence[int]], closed: bool) -> tuple[int, ...]:
+    """Lift a walk of power `level` into power `level + 1`.
 
-    Each step of the path is routed through the copy of the base graph that
+    Each step of the walk is routed through the copy of the base graph that
     replaced that edge, following the given s-t path of the base; steps
     traversed against their orientation route through the reversed choice.
+    A closed walk also steps from its last vertex back to its first.  The
+    lifted walk must not revisit a vertex.
     """
     if not (1 <= level < power.n):
         raise InputError(f"cannot lift from level {level} in a power of {power.n}")
-    if len(choices) != len(path) - 1:
+    stops = tuple(walk) + (tuple(walk[:1]) if closed else ())
+    if len(choices) != len(stops) - 1:
         raise InputError("need one base path per step")
     src = power.level_graph(level).graph
     base = power.base.graph
-    out: list[int] = [path[0]]
-    for (a, b), choice in zip(zip(path, path[1:]), choices):
+    out: list[int] = [stops[0]]
+    for (a, b), choice in zip(zip(stops, stops[1:]), choices):
         _require_base_st_path(base, choice)
         ei = src.edge_index(a, b)
         forward = src.edges[ei] == (a, b)
@@ -253,31 +250,25 @@ def lift_path(power: SlashPower, level: int, path: Sequence[int],
         for v in inner:
             out.append(power.resolve_vertex(level + 1, ei, v))
         out.append(b)
+    if closed:
+        out.pop()
     if len(set(out)) != len(out):
         raise InvalidPath("lifted walk revisits a vertex")
     return tuple(out)
+
+
+def lift_path(power: SlashPower, level: int, path: Sequence[int],
+              choices: Sequence[Sequence[int]]) -> PathSeq:
+    """Lift a path of power `level` into power `level + 1`, one base s-t
+    path per step."""
+    return _lift(power, level, path, choices, closed=False)
 
 
 def lift_cycle(power: SlashPower, level: int, cycle: Sequence[int],
                choices: Sequence[Sequence[int]]) -> CycleSeq:
-    """Lift a cycle (closed walk of distinct vertices) one level up."""
-    if len(choices) != len(cycle):
-        raise InputError("need one base path per cycle edge")
-    closed = tuple(cycle) + (cycle[0],)
-    src = power.level_graph(level).graph
-    base = power.base.graph
-    out: list[int] = []
-    for (a, b), choice in zip(zip(closed, closed[1:]), choices):
-        _require_base_st_path(base, choice)
-        ei = src.edge_index(a, b)
-        forward = src.edges[ei] == (a, b)
-        inner = choice[1:-1] if forward else tuple(reversed(choice))[1:-1]
-        out.append(a)
-        for v in inner:
-            out.append(power.resolve_vertex(level + 1, ei, v))
-    if len(set(out)) != len(out):
-        raise InvalidPath("lifted walk revisits a vertex")
-    return tuple(out)
+    """Lift a cycle (closed walk of distinct vertices) one level up, one
+    base s-t path per cycle edge."""
+    return _lift(power, level, cycle, choices, closed=True)
 
 
 def associativity_isomorphism_check(mg: MeasuredGraph,
@@ -330,8 +321,8 @@ def associativity_isomorphism_check(mg: MeasuredGraph,
     if len(set(phi.values())) != right.graph.vertex_count:
         return False
 
-    dl = geodesic_metric(left.graph)
-    dr = geodesic_metric(right.graph)
+    dl = left.graph.metric
+    dr = right.graph.metric
     for x in range(left.graph.vertex_count):
         for y in range(x + 1, left.graph.vertex_count):
             if dl.d(x, y) != dr.d(phi[x], phi[y]):
@@ -355,7 +346,7 @@ class LazyPowerMetric:
         _require_normalized(base, "base")
         self.base = base
         self.n = n
-        self._metric = geodesic_metric(base.graph)
+        self._metric = base.graph.metric
         self._memo: dict[tuple[int, VertexLabel, VertexLabel], Fraction] = {}
 
     def _check_label(self, lab: VertexLabel) -> None:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .constructions import LaaksoParams, MeasuredGraph, cycle_st_graph, uniform_laakso
-from .core import cycle_edge_indices, geodesic_metric
+from .core import cycle_edge_indices
 from .embeddings import (
     GeodesicTree,
     cycle_embedding_witness,
@@ -148,7 +148,7 @@ def cycle_witness_suite(sizes: Sequence[int] = (4, 5, 6)) -> SuiteReport:
     rows: list[SuiteRow] = []
     for n in sizes:
         mg = unit_cycle_measured(n)
-        metric = geodesic_metric(mg.graph)
+        metric = mg.graph.metric
         tmap = identity_tree_map(n)
         found = 0
         total = 0

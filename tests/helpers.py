@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 from slashpow.constructions import MeasuredGraph, cycle_st_graph, uniform_laakso
 from slashpow.core import StGraph
+from slashpow.verify import unit_cycle_measured  # noqa: F401  (shared fixture)
 
 
 def diamond() -> MeasuredGraph:
@@ -21,11 +22,6 @@ def laakso0230() -> MeasuredGraph:
 def unit_cycle(n: int) -> StGraph:
     m = n // 2
     return cycle_st_graph([1] * m, [1] * (n - m))
-
-
-def unit_cycle_measured(n: int) -> MeasuredGraph:
-    g = unit_cycle(n)
-    return MeasuredGraph(graph=g, nu=tuple(F(1, n) for _ in range(n)))
 
 
 def theta() -> MeasuredGraph:

@@ -62,6 +62,50 @@ def test_power_cap_exit(tmp_path, diamond_file, monkeypatch):
     assert main(["power", "--base", str(diamond_file), "--n", "2"]) == EXIT_CAP
 
 
+def test_power_exponent_is_capped_without_building_it(tmp_path, capsys,
+                                                     diamond_file, monkeypatch):
+    # 4**10000 would not even render in an error message, and 4**(10**12)
+    # would not fit in memory; both are refused at once.
+    for n in ("10000", "1000000000000"):
+        assert main(["power", "--base", str(diamond_file), "--n", n]) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert "edge cap" in err and "Traceback" not in err and len(err) < 200
+    # A one-edge base never passes the cap by its size, 1**n; every level
+    # still holds an edge, so n itself is capped.
+    edge = tmp_path / "edge.json"
+    assert main(["build", "--path", "1", "--out", str(edge)]) == EXIT_OK
+    monkeypatch.setenv("SLASHPOW_MAX_EDGES", "50")
+    assert main(["power", "--base", str(edge), "--n", "50", "--out",
+                 str(tmp_path / "p.json")]) == EXIT_OK
+    assert main(["power", "--base", str(edge), "--n", "20000"]) == EXIT_CAP
+    assert "edge cap 50" in capsys.readouterr().err
+
+
+def test_oversized_rationals_are_bad_input(tmp_path, capsys):
+    for raw in ("1e9999999999", "1e999999"):
+        assert main(["build", "--path", raw]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "digits" in err and "Traceback" not in err
+        graph = tmp_path / "g.json"
+        graph.write_text(
+            '{"vertices": ["a", "b"], "edges": [["a", "b", "%s"]],'
+            ' "s": "a", "t": "b", "orientation": [["a", "b"]]}' % raw)
+        assert main(["export-dot", "--graph", str(graph)]) == EXIT_INPUT
+    assert main(["build", "--path", "1,x"]) == EXIT_INPUT
+    assert "bad rational 'x'" in capsys.readouterr().err
+
+
+def test_malformed_files_are_bad_input(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"vertices": ["\xe9"]}')  # Latin-1, not UTF-8
+    for path in (deep, latin):
+        for command in ("oracle", "export-dot"):
+            assert main([command, "--graph", str(path)]) == EXIT_INPUT
+            assert "Traceback" not in capsys.readouterr().err
+
+
 def test_count_cycles(capsys):
     assert main(["count-cycles", "--params", "1,2,2,1", "--n", "2"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "16"

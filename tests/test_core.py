@@ -92,6 +92,32 @@ def test_metric_matches_brute_force_small():
         assert m.d(u, v) == brute_force_distance(c, u, v)
 
 
+def test_cached_metric_is_the_geodesic_metric():
+    for g in (diamond().graph, laakso1221().graph, theta().graph, unit_cycle(5)):
+        m = g.metric
+        assert m is g.metric
+        assert m.dist == geodesic_metric(g).dist
+        for u, v in all_pairs(g.vertex_count):
+            assert m.d(u, v) == brute_force_distance(g, u, v)
+
+
+@pytest.mark.parametrize("check", [is_normalized_geodesic_st, normalize])
+def test_validation_runs_once(monkeypatch, check):
+    import slashpow.core as core
+
+    calls = []
+    real = core.validate_st_graph
+    monkeypatch.setattr(core, "validate_st_graph",
+                        lambda g: calls.append(g) or real(g))
+    uneven = StGraph(names=("s", "a", "b", "t"),
+                     edges=((0, 1), (1, 3), (0, 2), (2, 3)),
+                     weights=(F(1, 4), F(1, 4), F(1, 4), F(1, 4)), s=0, t=3)
+    for g in (diamond().graph, laakso1221().graph, uneven):
+        calls.clear()
+        check(g)
+        assert len(calls) == 1
+
+
 def test_metric_axioms_all_fixtures():
     import slashpow
 

@@ -102,6 +102,27 @@ def test_stochastic_distortion_rejects_contraction():
         stochastic_distortion_of(g, emb)
 
 
+def test_distortion_report_rejects_contraction_like_stochastic_distortion():
+    mg = diamond()
+    good = frt_embed(mg.graph.metric, seed=3, samples=2)
+    (t0, m0, _), (t1, m1, _) = good.components
+    # Component 1 sends vertices 0, 1 and 2 to one point; component 2
+    # shrinks every distance 64-fold.  Both contract pair (0, 1) first, and
+    # the error names the lower component.
+    squash = TreeMap((0, 0, 0) + m0.vertex_map[3:])
+    emb = StochasticTreeEmbedding(((t0, m0, F(1, 3)), (t0, squash, F(1, 3)),
+                                   (t1.scaled(F(1, 64)), m1, F(1, 3))))
+    messages = []
+    for run in (lambda: stochastic_distortion_of(mg.graph, emb),
+                lambda: distortion_report(mg, emb)):
+        with pytest.raises(NotExpansive) as err:
+            run()
+        messages.append(str(err.value))
+    ok, witness = check_expansive(mg.graph.metric, t0, squash)
+    assert not ok
+    assert messages == [f"component 1 contracts pair {witness}"] * 2
+
+
 def test_cycle_witness_unit_cycles():
     c4 = unit_cycle(4)
     tree = path_tree(c4.names, (F(1),) * 3)

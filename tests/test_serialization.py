@@ -87,3 +87,29 @@ def test_fraction_strings():
     assert ser.parse_fraction(2) == F(2)
     with pytest.raises(SchemaError):
         ser.parse_fraction(0.5)
+
+
+def test_parse_fraction_refuses_oversized_decimals():
+    from fractions import Fraction as F
+
+    assert ser.parse_fraction("1.5e-3") == F(3, 2000)
+    assert ser.parse_fraction(" -2_5 ") == F(-25)
+    # 10**4299 has 4300 digits, the default int-to-str limit; one more is out.
+    assert ser.fraction_str(ser.parse_fraction("1e4299")) == "1" + "0" * 4299 + "/1"
+    # 1e9999999999 would take unbounded time inside Fraction itself.
+    for raw in ("1e4300", "1e-4300", "1e999999", "1e9999999999", "0." + "1" * 4300,
+                "1e" + "9" * 5000, "1e1__0"):
+        with pytest.raises(SchemaError):
+            ser.parse_fraction(raw)
+
+
+def test_loads_refuses_malformed_documents():
+    for text in ("[" * 100_000 + "]" * 100_000,   # RecursionError inside json
+                 "1" * 5000,                       # int literal past the digit limit
+                 '{"vertices": [["a"]], "edges": [[["a"], "b", "1"]]}'):
+        with pytest.raises(SchemaError):
+            ser.loads(text)
+    doc = json.loads(ser.dumps(diamond().graph))
+    doc["edges"][0][0] = ["x0"]  # unhashable vertex reference
+    with pytest.raises(SchemaError):
+        ser.graph_from_dict(doc)

@@ -13,7 +13,7 @@ from slashpow.core import (
     path_length,
     validate_st_graph,
 )
-from slashpow.errors import CapExceeded, InvalidPath, NotNormalized
+from slashpow.errors import CapExceeded, InputError, InvalidPath, NotNormalized
 from slashpow.slash import (
     LazyPowerMetric,
     associativity_isomorphism_check,
@@ -209,6 +209,18 @@ def test_lift_path():
 
     with pytest.raises(InvalidPath):
         lift_path(pw, 1, route, [(0, 3)] * 2)  # not a base path
+
+
+def test_lift_cycle_checks_the_level():
+    d = diamond()
+    pw = slash_power(d, 2)
+    route = enumerate_st_paths(d.graph)[0]
+    cycle = sp.find_any_cycle(d.graph)
+    for level in (-1, 0, pw.n):
+        with pytest.raises(InputError, match="cannot lift from level"):
+            lift_cycle(pw, level, cycle, [route] * len(cycle))
+        with pytest.raises(InputError, match="cannot lift from level"):
+            lift_path(pw, level, route, [route] * (len(route) - 1))
 
 
 def test_lift_by_single_edge_graph():
