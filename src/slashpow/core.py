@@ -1,14 +1,16 @@
 """Weighted s-t graphs, exact geodesic metrics, and path primitives.
 
-All weights and distances are `fractions.Fraction`; nothing in this module
-touches floating point.  Vertices are integer indices into a name table;
-display names travel through constructions for debugging but are excluded
-from equality.
+All weights and distances are `fractions.Fraction` at the interface;
+inside, shortest paths run on integers over one common denominator, and
+nothing in this module touches floating point.  Vertices are integer indices
+into a name table; display names travel through constructions for debugging
+but are excluded from equality.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -146,17 +148,21 @@ class StGraph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def edge_ids(self) -> dict[frozenset[int], int]:
-        return {frozenset(e): i for i, e in enumerate(self.edges)}
+    def edge_ids(self) -> dict[tuple[int, int], int]:
+        """Edge index by ordered vertex pair, in both orientations."""
+        ids: dict[tuple[int, int], int] = {}
+        for i, (u, v) in enumerate(self.edges):
+            ids[u, v] = ids[v, u] = i
+        return ids
 
     def edge_index(self, u: int, v: int) -> int:
         try:
-            return self.edge_ids[frozenset((u, v))]
+            return self.edge_ids[u, v]
         except KeyError:
             raise InvalidPath(f"no edge between {u} and {v}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return frozenset((u, v)) in self.edge_ids
+        return (u, v) in self.edge_ids
 
     def weight_between(self, u: int, v: int) -> Fraction:
         return self.weights[self.edge_index(u, v)]
@@ -167,6 +173,24 @@ class StGraph:
     def edge_name(self, i: int) -> str:
         u, v = self.edges[i]
         return f"{self.names[u]}->{self.names[v]}"
+
+    @cached_property
+    def weight_scale(self) -> int:
+        """The lcm D of the weight denominators: D times any path length is
+        an integer."""
+        return math.lcm(*(w.denominator for w in self.weights))
+
+    @cached_property
+    def int_weights(self) -> tuple[int, ...]:
+        """Each weight times weight_scale."""
+        scale = self.weight_scale
+        return tuple(w.numerator * (scale // w.denominator) for w in self.weights)
+
+    @cached_property
+    def cycle_edges(self) -> dict[CycleSeq, tuple[int, ...]]:
+        """Edge tuples of the cycles cycle_edge_indices has validated, by
+        vertex tuple."""
+        return {}
 
     @cached_property
     def metric(self) -> GeodesicMetric:
@@ -302,6 +326,13 @@ class GeodesicMetric:
     source: StGraph = field(compare=False)
     dist: tuple[tuple[Fraction, ...], ...]
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, rows): integers with d(u, v) == rows[u][v] / D."""
+        scale = math.lcm(*(x.denominator for row in self.dist for x in row))
+        return scale, tuple(tuple(x.numerator * (scale // x.denominator)
+                                  for x in row) for row in self.dist)
+
     def d(self, u: int, v: int) -> Fraction:
         return self.dist[u][v]
 
@@ -317,26 +348,41 @@ class GeodesicMetric:
         return max(max(row) for row in self.dist)
 
 
-def single_source_distances(g: StGraph, src: int) -> tuple[Fraction, ...]:
-    """Dijkstra over the undirected graph; ties resolve by smallest vertex id."""
-    dist: list[Optional[Fraction]] = [None] * g.vertex_count
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), src)]
+def _scaled_distances(g: StGraph, src: int) -> tuple[int, ...]:
+    """Dijkstra over the undirected graph on g.int_weights, so distances
+    are weight_scale times the exact ones; ties resolve by smallest vertex
+    id.  Scaling by a positive integer keeps the heap order."""
+    dist: list[Optional[int]] = [None] * g.vertex_count
+    heap: list[tuple[int, int]] = [(0, src)]
+    adj, weights = g.und_adj, g.int_weights
     while heap:
         d, u = heapq.heappop(heap)
         if dist[u] is not None:
             continue
         dist[u] = d
-        for v, ei in g.und_adj[u]:
+        for v, ei in adj[u]:
             if dist[v] is None:
-                heapq.heappush(heap, (d + g.weights[ei], v))
-    if any(d is None for d in dist):
+                heapq.heappush(heap, (d + weights[ei], v))
+    if None in dist:
         raise DisconnectedGraph("graph is not connected")
     return tuple(dist)  # type: ignore[arg-type]
 
 
+def single_source_distances(g: StGraph, src: int) -> tuple[Fraction, ...]:
+    """Exact distances from src to every vertex."""
+    scale = g.weight_scale
+    return tuple(Fraction(x, scale) for x in _scaled_distances(g, src))
+
+
 def geodesic_metric(g: StGraph) -> GeodesicMetric:
-    rows = tuple(single_source_distances(g, u) for u in range(g.vertex_count))
-    return GeodesicMetric(source=g, dist=rows)
+    """All-pairs distances, with their integer view `scaled` filled in."""
+    scale = g.weight_scale
+    rows = tuple(_scaled_distances(g, u) for u in range(g.vertex_count))
+    fraction = {x: Fraction(x, scale) for x in set().union(*rows)}
+    metric = GeodesicMetric(source=g, dist=tuple(
+        tuple(map(fraction.__getitem__, row)) for row in rows))
+    metric.__dict__["scaled"] = (scale, rows)  # what the cached property stores
+    return metric
 
 
 def shortest_path_lex(g: StGraph, u: int, v: int,
@@ -390,15 +436,28 @@ def concat_paths(a: Sequence[int], b: Sequence[int]) -> PathSeq:
 
 
 def is_cycle_in(g: StGraph, c: Sequence[int]) -> bool:
-    if len(c) < 3 or len(set(c)) != len(c):
+    try:
+        cycle_edge_indices(g, c)
+    except InvalidPath:
         return False
-    return all(g.has_edge(c[i], c[(i + 1) % len(c)]) for i in range(len(c)))
+    return True
 
 
 def cycle_edge_indices(g: StGraph, c: Sequence[int]) -> tuple[int, ...]:
-    if not is_cycle_in(g, c):
-        raise InvalidPath(f"{tuple(c)} is not a cycle of the graph")
-    return tuple(g.edge_index(c[i], c[(i + 1) % len(c)]) for i in range(len(c)))
+    """Indices of the edges c[0]c[1], ..., c[-1]c[0]; each cycle is validated
+    once per graph, and a non-cycle raises InvalidPath on every call."""
+    key = tuple(c)
+    found = g.cycle_edges.get(key)
+    if found is None:
+        if len(key) < 3 or len(set(key)) != len(key):
+            raise InvalidPath(f"{key} is not a cycle of the graph")
+        ids = g.edge_ids
+        try:
+            found = tuple(ids[pair] for pair in zip(key, key[1:] + key[:1]))
+        except KeyError:
+            raise InvalidPath(f"{key} is not a cycle of the graph") from None
+        g.cycle_edges[key] = found
+    return found
 
 
 def cycle_metric_length(metric: GeodesicMetric, c: Sequence[int]) -> Fraction:

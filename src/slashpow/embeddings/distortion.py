@@ -4,6 +4,7 @@ of balanced Laakso graphs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,37 +45,57 @@ def check_expansive(metric: GeodesicMetric, tree: GeodesicTree,
                     tmap: TreeMap) -> tuple[bool, Optional[tuple[int, int]]]:
     """Exhaustive over vertex pairs; returns the first contracted pair."""
     n = metric.source.vertex_count
-    for u in range(n):
-        for v in range(u + 1, n):
-            if tree.distance(tmap(u), tmap(v)) < metric.d(u, v):
-                return False, (u, v)
-    return True, None
+    pair = _first_contraction(metric.scaled,
+                              tree.scaled_distances(tmap.vertex_map[:n]))
+    return pair is None, pair
+
+
+_Scaled = tuple[int, Sequence[Sequence[int]]]  # (D, rows): distance == rows[u][v] / D
+
+
+def _first_contraction(metric: _Scaled, tree: _Scaled) -> Optional[tuple[int, int]]:
+    """First pair u < v, in row order, with d_T(u, v) < d(u, v)."""
+    scale, rows = metric
+    tree_scale, tree_rows = tree
+    for u, (row, tree_row) in enumerate(zip(rows, tree_rows)):
+        for v in range(u + 1, len(row)):
+            if tree_row[v] * scale < row[v] * tree_scale:
+                return u, v
+    return None
 
 
 _PairRow = tuple[int, int, Fraction, Fraction, Fraction]  # (u, v, d_X, mean d_T, stretch)
 
 
 def _pair_rows(g: StGraph, emb: StochasticTreeEmbedding) -> list[_PairRow]:
-    """One row per pair u < v, reading each tree distance once.  A
-    contraction raises NotExpansive for the first contracting component and
-    its first contracted pair, as check_expansive finds them."""
+    """One row per pair u < v.  Component by component, each pair's
+    expected tree distance accumulates in one integer over the common
+    denominator of all the p / L terms.  A contraction raises NotExpansive
+    for the first contracting component and its first contracted pair, as
+    check_expansive finds them."""
     metric = g.metric
-    contracted: dict[int, tuple[int, int]] = {}
-    rows: list[_PairRow] = []
     n = g.vertex_count
+    scale, rows = metric.scaled
+    common = math.lcm(*(p.denominator * tree.weight_scale for tree, _, p in emb))
+    # sums[u][v - u - 1] / common is the expected d_T(u, v)
+    sums = [[0] * (n - u - 1) for u in range(n)]
+    for idx, (tree, tmap, p) in enumerate(emb):
+        table = tree.scaled_distances(tmap.vertex_map[:n])
+        pair = _first_contraction((scale, rows), table)
+        if pair is not None:
+            raise NotExpansive(f"component {idx} contracts pair {pair}")
+        tree_scale, tree_rows = table
+        weight = p.numerator * (common // (p.denominator * tree_scale))
+        for u in range(n):
+            sums[u] = [acc + weight * t
+                       for acc, t in zip(sums[u], tree_rows[u][u + 1:])]
+    out: list[_PairRow] = []
     for u in range(n):
-        for v in range(u + 1, n):
-            d, mean = metric.d(u, v), ZERO
-            for idx, (tree, tmap, p) in enumerate(emb):
-                dt = tree.distance(tmap(u), tmap(v))
-                if dt < d:
-                    contracted.setdefault(idx, (u, v))
-                mean += p * dt
-            rows.append((u, v, d, mean, mean / d))
-    if contracted:
-        idx = min(contracted)
-        raise NotExpansive(f"component {idx} contracts pair {contracted[idx]}")
-    return rows
+        row, dist = rows[u], metric.dist[u]
+        for v, acc in enumerate(sums[u], start=u + 1):
+            out.append((u, v, dist[v], Fraction(acc, common),
+                        Fraction(acc * scale, common * row[v])))
+    return out
 
 
 def stochastic_distortion_of(g: StGraph, emb: StochasticTreeEmbedding) -> Fraction:
@@ -183,16 +204,14 @@ def truncated_distortion_bound(power: SlashPower, tree: GeodesicTree,
     if cycles is None:
         cycles = enumerate_max_cycles(power)
     g = power.graph.graph
-    witnesses: list[int] = []
     threshold = WITNESS_COEFF * base.c0
+    stretched = []
+    for (u, v), w in zip(g.edges, g.weights):
+        dt = tree.distance(tmap(u), tmap(v))
+        stretched.append(8 * dt >= base.c0 - w and dt >= threshold)
+    witnesses: list[int] = []
     for c in cycles:
-        found = -1
-        for ei in cycle_edge_indices(g, c):
-            u, v = g.edges[ei]
-            dt = tree.distance(tmap(u), tmap(v))
-            if 8 * dt >= base.c0 - g.weights[ei] and dt >= threshold:
-                found = ei
-                break
+        found = next((ei for ei in cycle_edge_indices(g, c) if stretched[ei]), -1)
         if found < 0:
             raise AssertionError("maximal cycle without a stretched edge")
         witnesses.append(found)

@@ -5,7 +5,9 @@ permutation, then refines the point set level by level: each point joins the
 first permutation vertex whose ball of the current radius covers it.  The
 laminar family becomes a tree with level-proportional edge weights, and a
 final exact scaling pass makes every tree dominate the source metric, so
-expansiveness never depends on luck.  All arithmetic stays rational.
+expansiveness never depends on luck.  All arithmetic stays rational: the
+ball tests and the domination pass compare integers over the metric's and
+the tree's common denominators.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ..core import GeodesicMetric
-from ..errors import DegenerateMetric, InputError
+from ..core import GeodesicMetric, edge_cap
+from ..errors import CapExceeded, DegenerateMetric, InputError
 from .trees import GeodesicTree, StochasticTreeEmbedding, TreeMap
 
 TWO = Fraction(2)
@@ -36,9 +38,10 @@ def frt_tree(metric: GeodesicMetric, rng: random.Random
     """One sampled dominating tree and the map into its leaves."""
     g = metric.source
     n = g.vertex_count
+    scale, rows = metric.scaled
     for u in range(n):
         for v in range(u + 1, n):
-            if metric.d(u, v) == 0:
+            if rows[u][v] == 0:
                 raise DegenerateMetric(f"vertices {u} and {v} coincide")
     if n == 1:
         tree = GeodesicTree(names=(g.names[0],), edges=(), weights=(),
@@ -49,7 +52,8 @@ def frt_tree(metric: GeodesicMetric, rng: random.Random
                             weights=(metric.d(0, 1),), steiner=(False, False))
         return tree, TreeMap(vertex_map=(0, 1))
 
-    beta = Fraction(rng.randrange(RADIUS_GRID // 2, RADIUS_GRID), RADIUS_GRID)
+    # beta = b / RADIUS_GRID
+    b = rng.randrange(RADIUS_GRID // 2, RADIUS_GRID)
     order = list(range(n))
     rng.shuffle(order)
 
@@ -64,13 +68,18 @@ def frt_tree(metric: GeodesicMetric, rng: random.Random
     active: list[tuple[int, tuple[int, ...]]] = [(0, tuple(range(n)))]
     level = top - 1
     while active:
-        radius = beta * TWO ** level
+        # d(u, c) <= beta 2^level  iff  rows[u][c] <= floor(b scale 2^level / GRID)
+        if level >= 0:
+            radius = (b * scale << level) // RADIUS_GRID
+        else:
+            radius = b * scale // (RADIUS_GRID << -level)
         next_active: list[tuple[int, tuple[int, ...]]] = []
         for parent_node, members in active:
             groups: dict[int, list[int]] = {}
             for u in members:
+                row = rows[u]
                 for c in order:
-                    if metric.d(u, c) <= radius:
+                    if row[c] <= radius:
                         groups.setdefault(c, []).append(u)
                         break
             for center in sorted(groups):
@@ -93,23 +102,35 @@ def frt_tree(metric: GeodesicMetric, rng: random.Random
                         weights=tuple(weights), steiner=tuple(steiner))
     tmap = TreeMap(vertex_map=tuple(vertex_node))
 
-    # Exact domination pass: one global scale factor suffices.
-    factor = Fraction(1)
+    # Exact domination pass: one global scale factor suffices.  The largest
+    # ratio d(u, v) / d_T(u, v) = (rows * tree_scale) / (tree_rows * scale)
+    # is kept as the pair (best_d, best_t), starting from ratio 1.
+    tree_scale, tree_rows = tree.scaled_distances(tmap.vertex_map)
+    best_d, best_t = scale, tree_scale
     for u in range(n):
+        row, tree_row = rows[u], tree_rows[u]
         for v in range(u + 1, n):
-            ratio = metric.d(u, v) / tree.distance(tmap(u), tmap(v))
-            if ratio > factor:
-                factor = ratio
-    if factor > 1:
-        tree = tree.scaled(factor)
+            if row[v] * best_t > best_d * tree_row[v]:
+                best_d, best_t = row[v], tree_row[v]
+    if (best_d, best_t) != (scale, tree_scale):
+        tree = tree.scaled(Fraction(best_d * tree_scale, best_t * scale))
     return tree, tmap
 
 
 def frt_embed(metric: GeodesicMetric, seed: int, samples: int
               ) -> StochasticTreeEmbedding:
-    """Uniform mixture of `samples` seeded dominating trees."""
+    """Uniform mixture of `samples` seeded dominating trees.
+
+    Each tree is counted as 2n - 1 vertices, the most a tree on n leaves
+    has when its inner vertices all branch; more than edge_cap() in all is
+    refused before any tree is drawn.
+    """
     if samples < 1:
         raise InputError("need at least one sample")
+    per_tree = 2 * metric.source.vertex_count - 1
+    if samples * per_tree > edge_cap():
+        raise CapExceeded(f"{samples} trees of {per_tree} vertices exceed "
+                          f"edge cap {edge_cap()}")
     p = Fraction(1, samples)
     components = []
     for k in range(samples):

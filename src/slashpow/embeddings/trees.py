@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -61,27 +62,38 @@ class GeodesicTree:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def _rooted(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Fraction, ...]]:
-        """(parent, depth, dist-to-root) rooted at vertex 0."""
+    def weight_scale(self) -> int:
+        """The lcm L of the weight denominators: L times any tree distance
+        is an integer."""
+        return math.lcm(*(w.denominator for w in self.weights))
+
+    @cached_property
+    def _rooted(self) -> tuple[tuple[int, ...], tuple[int, ...],
+                               tuple[int, ...], tuple[int, ...]]:
+        """(parent, depth, L * dist-to-root, preorder) rooted at vertex 0."""
         n = self.vertex_count
+        scale = self.weight_scale
         parent = [-1] * n
         depth = [0] * n
-        dist = [ZERO] * n
+        dist = [0] * n
+        order: list[int] = []
         stack = [0]
         seen = {0}
         while stack:
             x = stack.pop()
+            order.append(x)
             for y, ei in self.adj[x]:
                 if y not in seen:
                     seen.add(y)
+                    w = self.weights[ei]
                     parent[y] = x
                     depth[y] = depth[x] + 1
-                    dist[y] = dist[x] + self.weights[ei]
+                    dist[y] = dist[x] + w.numerator * (scale // w.denominator)
                     stack.append(y)
-        return tuple(parent), tuple(depth), tuple(dist)
+        return tuple(parent), tuple(depth), tuple(dist), tuple(order)
 
     def distance(self, u: int, v: int) -> Fraction:
-        parent, depth, dist = self._rooted
+        parent, depth, dist, _ = self._rooted
         total = dist[u] + dist[v]
         while depth[u] > depth[v]:
             u = parent[u]
@@ -89,7 +101,42 @@ class GeodesicTree:
             v = parent[v]
         while u != v:
             u, v = parent[u], parent[v]
-        return total - 2 * dist[u]
+        return Fraction(total - 2 * dist[u], self.weight_scale)
+
+    def scaled_distances(self, points: Sequence[int]
+                         ) -> tuple[int, list[list[int]]]:
+        """(L, rows) with distance(points[i], points[j]) == rows[i][j] / L,
+        in integers.
+
+        One pass down the tree in preorder, where every subtree holds a
+        contiguous run of the points: a child's distances are its parent's
+        plus the edge weight, minus it inside the child's subtree.
+        """
+        parent, _, dist, order = self._rooted
+        wanted = set(points)
+        start = [0] * self.vertex_count  # points before each vertex in preorder
+        size = [0] * self.vertex_count  # points in each subtree
+        column: dict[int, int] = {}
+        for x in order:
+            start[x] = len(column)
+            if x in wanted:
+                column[x] = len(column)
+        for x in reversed(order):
+            size[x] += x in column
+            if parent[x] >= 0:
+                size[parent[x]] += size[x]
+        rows = {order[0]: [dist[x] for x in column]}
+        for x in order[1:]:
+            if not size[x]:
+                continue
+            up = rows[parent[x]]
+            w = dist[x] - dist[parent[x]]
+            a, b = start[x], start[x] + size[x]
+            rows[x] = ([r + w for r in up[:a]] + [r - w for r in up[a:b]]
+                       + [r + w for r in up[b:]])
+        cols = [column[y] for y in points]
+        return self.weight_scale, [[row[c] for c in cols]
+                                   for row in (rows[x] for x in points)]
 
     def scaled(self, factor: Fraction) -> "GeodesicTree":
         if factor <= 0:

@@ -92,11 +92,23 @@ def _require_balanced(p: LaaksoParams) -> tuple[int, int]:
 
 def max_cycle_edge_count(params: LaaksoParams, n: int) -> int:
     """Edge count of any maximal-length cycle in the n-th power: every lift
-    multiplies the count by the graph length of an s-t route."""
+    multiplies the count by the graph length of an s-t route.  A count too
+    long to print (see core._str_digit_limit) is refused, a huge one before
+    it is built."""
     l, route = _require_balanced(params)
     if n < 1:
         raise InputError("power must be at least 1")
-    return 2 * l * route ** (n - 1)
+    digits = _str_digit_limit()
+    # route**(n-1) >= 2**((n-1)(bits-1)), which from 4*digits bits on is past
+    # 10**digits (16**digits > 10**digits): refused before it is built.
+    too_long = (n - 1) * (route.bit_length() - 1) >= 4 * digits
+    if not too_long:
+        count = 2 * l * route ** (n - 1)
+        too_long = count.bit_length() >= 3 * digits and count >= 10 ** digits
+    if too_long:
+        raise CapExceeded(f"cycle edge count has more than {digits} decimal "
+                          "digits (the int-to-str limit, PYTHONINTMAXSTRDIGITS)")
+    return count
 
 
 def _power_of_two(terms: Iterable[int]) -> int:

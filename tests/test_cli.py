@@ -191,6 +191,22 @@ def test_count_cycles_too_long_to_print_is_a_cap(capsys):
     assert capsys.readouterr().out.strip() == str(2 ** (4 * (2 ** 11 - 1)))
 
 
+def test_count_cycles_edge_count_too_long_to_print_is_a_cap(capsys):
+    # An off-cycle label 7200 deep counts 0 cycles, but the cycles of the
+    # 7200th power have 2l 4^7199 edges, more digits than Python prints.
+    label = "/".join(["0"] * 7200)
+    assert main(["count-cycles", "--params", "1,2,2,1", "--n", "7200",
+                 "--edge-label", label, "--json"]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert "decimal digits" in err and "Traceback" not in err
+    assert main(["count-cycles", "--params", "1,2,2,1", "--n", "7200",
+                 "--edge-label", label]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "0"
+    # A power too large to build the count at all is refused the same way.
+    assert main(["count-cycles", "--params", "1,2,2,1", "--n", "100000",
+                 "--edge-label", "/".join(["0"] * 100000), "--json"]) == EXIT_CAP
+
+
 def test_count_cycles_malformed_edge_label(capsys):
     assert main(["count-cycles", "--params", "0,2,2,0", "--n", "2",
                  "--edge-label", "a/b"]) == EXIT_INPUT

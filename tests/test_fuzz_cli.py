@@ -27,8 +27,8 @@ CAPS = {"SLASHPOW_MAX_EDGES": "64", "SLASHPOW_MAX_PATHS": "64"}
 COMMANDS = ("build", "power", "count-cycles", "find-balanced", "pipeline",
             "embed-frt", "oracle", "verify", "export-dot")
 # Values per flag.  --samples stays small: embed-frt draws every sample it
-# is asked for, with no cap.  --suite names no real suite, since each suite
-# runs for seconds.
+# is asked for up to the edge cap, and each one takes time.  --suite names
+# no real suite, since each suite runs for seconds.
 VALUES = {
     "--path": ("1,2,1", "1", "0", "-1", "1/0", "x", "", "1e999999", "1e9999999999"),
     "--cycle": ("1,1;1,1", "1;2", "1;1", "1,1", ";"),
@@ -100,6 +100,8 @@ argvs = st.tuples(st.sampled_from(COMMANDS), st.lists(option, max_size=5)).map(
 @example(argv=["export-dot", "--graph", "latin.json"])
 @example(argv=["find-balanced", "--params", "1000000000,2,2,0"])
 @example(argv=["count-cycles", "--params", "0,2,2,0", "--n", "1000000000000"])
+@example(argv=["embed-frt", "--graph", "diamond.json", "--seed", "1",
+               "--samples", "1000000000000"])
 @settings(max_examples=150, derandomize=True)
 def test_fuzz_argv(workdir, argv):
     _check(workdir, argv)

@@ -56,11 +56,17 @@ def test_counts_capped_at_the_int_to_str_limit():
         assert count_max_cycles_through_edge(base, (0,) * 12) == 2 ** (4 * 2047 - 11)
         with pytest.raises(CapExceeded):
             count_max_cycles_through_edge(base, (0,) * 13)
+        # (1,2,2,1) cycles in the n-th power have 4 * 4^(n-1) = 2^(2n) edges.
+        assert max_cycle_edge_count(L1221_P, 7142) == 2 ** 14284
+        with pytest.raises(CapExceeded):
+            max_cycle_edge_count(L1221_P, 7143)
         # With the limit disabled the default still bounds the work: a huge
         # power is refused after a few levels, not computed.
         sys.set_int_max_str_digits(0)
         with pytest.raises(CapExceeded):
             count_max_cycles(DIAMOND_P, 10 ** 9)
+        with pytest.raises(CapExceeded):
+            max_cycle_edge_count(DIAMOND_P, 10 ** 12)
     finally:
         sys.set_int_max_str_digits(old)
 
