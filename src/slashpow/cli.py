@@ -320,9 +320,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (SchemaError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SlashpowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -217,13 +217,9 @@ def build_laakso(params: LaaksoParams | tuple[int, int, int, int],
 
     g = StGraph(names=tuple(names), edges=tuple(edges), weights=tuple(weights),
                 s=0, t=tail_vs[-1])
-    dst = sum(ws, ZERO) + sum(wb1, ZERO) + sum(wt, ZERO)
-    nu: list[Fraction] = []
-    branch_ids = {g.edge_index(b1[i], b1[i + 1]) for i in range(p.l1)}
-    branch_ids |= {g.edge_index(b2[i], b2[i + 1]) for i in range(p.l2)}
-    for i, w in enumerate(g.weights):
-        nu.append((HALF if i in branch_ids else Fraction(1)) * w / dst)
-    return MeasuredGraph(graph=g, nu=tuple(nu))
+    return laakso_measure(g, LaaksoStructure(
+        params=p, stem=tuple(range(p.k + 1)), branch1=tuple(b1),
+        branch2=tuple(b2), tail=tuple(tail_vs)))
 
 
 def uniform_laakso(params: LaaksoParams | tuple[int, int, int, int]) -> MeasuredGraph:

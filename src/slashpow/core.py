@@ -2,9 +2,11 @@
 
 All weights and distances are `fractions.Fraction` at the interface;
 inside, shortest paths run on integers over one common denominator, and
-nothing in this module touches floating point.  Vertices are integer indices
-into a name table; display names travel through constructions for debugging
-but are excluded from equality.
+the all-pairs metric stores only those integers and the denominator
+(`GeodesicMetric.rows` and `.scale`).  Nothing in this module touches
+floating point.  Vertices are integer indices into a name table; display
+names travel through constructions for debugging but are excluded from
+equality.
 """
 
 from __future__ import annotations
@@ -170,10 +172,6 @@ class StGraph:
     def with_weights(self, weights: Sequence[Fraction]) -> "StGraph":
         return replace(self, weights=tuple(weights))
 
-    def edge_name(self, i: int) -> str:
-        u, v = self.edges[i]
-        return f"{self.names[u]}->{self.names[v]}"
-
     @cached_property
     def weight_scale(self) -> int:
         """The lcm D of the weight denominators: D times any path length is
@@ -321,22 +319,20 @@ def validate_st_graph(g: StGraph) -> ValidationReport:
 
 @dataclass(frozen=True)
 class GeodesicMetric:
-    """All-pairs shortest-path distances of a weighted graph, exact."""
+    """All-pairs shortest-path distances of a weighted graph, exact:
+    d(u, v) == rows[u][v] / scale, in integers."""
 
     source: StGraph = field(compare=False)
-    dist: tuple[tuple[Fraction, ...], ...]
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, rows): integers with d(u, v) == rows[u][v] / D."""
-        scale = math.lcm(*(x.denominator for row in self.dist for x in row))
-        return scale, tuple(tuple(x.numerator * (scale // x.denominator)
-                                  for x in row) for row in self.dist)
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as Fractions, one object per distinct value."""
+        fraction = {x: Fraction(x, self.scale) for x in set().union(*self.rows)}
+        return tuple(tuple(map(fraction.__getitem__, row)) for row in self.rows)
 
     def d(self, u: int, v: int) -> Fraction:
-        return self.dist[u][v]
-
-    def __call__(self, u: int, v: int) -> Fraction:
         return self.dist[u][v]
 
     def edge_distance(self, eidx: int) -> Fraction:
@@ -375,14 +371,9 @@ def single_source_distances(g: StGraph, src: int) -> tuple[Fraction, ...]:
 
 
 def geodesic_metric(g: StGraph) -> GeodesicMetric:
-    """All-pairs distances, with their integer view `scaled` filled in."""
-    scale = g.weight_scale
-    rows = tuple(_scaled_distances(g, u) for u in range(g.vertex_count))
-    fraction = {x: Fraction(x, scale) for x in set().union(*rows)}
-    metric = GeodesicMetric(source=g, dist=tuple(
-        tuple(map(fraction.__getitem__, row)) for row in rows))
-    metric.__dict__["scaled"] = (scale, rows)  # what the cached property stores
-    return metric
+    """All-pairs distances over the graph's weight_scale."""
+    return GeodesicMetric(source=g, scale=g.weight_scale, rows=tuple(
+        _scaled_distances(g, u) for u in range(g.vertex_count)))
 
 
 def shortest_path_lex(g: StGraph, u: int, v: int,

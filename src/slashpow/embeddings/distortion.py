@@ -31,59 +31,84 @@ def expected_distortion(mg: MeasuredGraph, tree: GeodesicTree,
                         tmap: TreeMap) -> Fraction:
     """Measure-weighted average over edges of d_T(f(e)) / d_G(e), exact."""
     g = mg.graph
-    if len(tmap.vertex_map) != g.vertex_count:
-        raise InputError("map must cover every vertex")
-    metric = g.metric
-    total = ZERO
-    for ei, (u, v) in enumerate(g.edges):
-        stretch = tree.distance(tmap(u), tmap(v)) / metric.d(u, v)
-        total += mg.nu[ei] * stretch
-    return total
+    _require_total(g, tmap)
+    return _expected_stretch(g.metric, mg.nu, tree.scaled_distances(tmap.vertex_map))
 
 
 def check_expansive(metric: GeodesicMetric, tree: GeodesicTree,
                     tmap: TreeMap) -> tuple[bool, Optional[tuple[int, int]]]:
     """Exhaustive over vertex pairs; returns the first contracted pair."""
     n = metric.source.vertex_count
-    pair = _first_contraction(metric.scaled,
-                              tree.scaled_distances(tmap.vertex_map[:n]))
+    pair = _first_contraction(metric, tree.scaled_distances(tmap.vertex_map[:n]))
     return pair is None, pair
 
 
-_Scaled = tuple[int, Sequence[Sequence[int]]]  # (D, rows): distance == rows[u][v] / D
+_Scaled = tuple[int, Sequence[Sequence[int]]]  # (L, rows): distance == rows[u][v] / L
 
 
-def _first_contraction(metric: _Scaled, tree: _Scaled) -> Optional[tuple[int, int]]:
+def _require_total(g: StGraph, *tmaps: TreeMap) -> None:
+    if any(len(tmap.vertex_map) != g.vertex_count for tmap in tmaps):
+        raise InputError("map must cover every vertex")
+
+
+def _first_contraction(metric: GeodesicMetric,
+                       table: _Scaled) -> Optional[tuple[int, int]]:
     """First pair u < v, in row order, with d_T(u, v) < d(u, v)."""
-    scale, rows = metric
-    tree_scale, tree_rows = tree
-    for u, (row, tree_row) in enumerate(zip(rows, tree_rows)):
+    scale = metric.scale
+    tree_scale, tree_rows = table
+    for u, (row, tree_row) in enumerate(zip(metric.rows, tree_rows)):
         for v in range(u + 1, len(row)):
             if tree_row[v] * scale < row[v] * tree_scale:
                 return u, v
     return None
 
 
+def _expansive_table(metric: GeodesicMetric, tree: GeodesicTree, tmap: TreeMap,
+                     who: str = "map") -> _Scaled:
+    """The tree's distance table over the images of the metric's vertices;
+    a contraction raises NotExpansive naming `who` and the first contracted
+    pair, as check_expansive finds it."""
+    table = tree.scaled_distances(tmap.vertex_map)
+    pair = _first_contraction(metric, table)
+    if pair is not None:
+        raise NotExpansive(f"{who} contracts pair {pair}")
+    return table
+
+
+def _expected_stretch(metric: GeodesicMetric, nu: Sequence[Fraction],
+                      table: _Scaled) -> Fraction:
+    """Sum over edges of nu(e) d_T(f(e)) / d(e), from the tree's table."""
+    scale, rows = metric.scale, metric.rows
+    tree_scale, tree_rows = table
+    return sum((p * Fraction(tree_rows[u][v] * scale, tree_scale * rows[u][v])
+                for p, (u, v) in zip(nu, metric.source.edges)), ZERO)
+
+
 _PairRow = tuple[int, int, Fraction, Fraction, Fraction]  # (u, v, d_X, mean d_T, stretch)
 
 
-def _pair_rows(g: StGraph, emb: StochasticTreeEmbedding) -> list[_PairRow]:
-    """One row per pair u < v.  Component by component, each pair's
-    expected tree distance accumulates in one integer over the common
-    denominator of all the p / L terms.  A contraction raises NotExpansive
-    for the first contracting component and its first contracted pair, as
+def _pair_rows(g: StGraph, emb: StochasticTreeEmbedding,
+               nu: Optional[Sequence[Fraction]] = None
+               ) -> tuple[list[_PairRow], tuple[Fraction, ...]]:
+    """One row per pair u < v and, given an edge measure nu, each
+    component's expected distortion.  Component by component, one table at a
+    time, each pair's expected tree distance accumulates in one integer over
+    the common denominator of all the p / L terms.  A map that misses a
+    vertex raises InputError first; a contraction raises NotExpansive for
+    the first contracting component and its first contracted pair, as
     check_expansive finds them."""
     metric = g.metric
     n = g.vertex_count
-    scale, rows = metric.scaled
+    scale, rows = metric.scale, metric.rows
+    _require_total(g, *(tmap for _, tmap, _ in emb))
     common = math.lcm(*(p.denominator * tree.weight_scale for tree, _, p in emb))
     # sums[u][v - u - 1] / common is the expected d_T(u, v)
     sums = [[0] * (n - u - 1) for u in range(n)]
+    per_component = []
     for idx, (tree, tmap, p) in enumerate(emb):
-        table = tree.scaled_distances(tmap.vertex_map[:n])
-        pair = _first_contraction((scale, rows), table)
-        if pair is not None:
-            raise NotExpansive(f"component {idx} contracts pair {pair}")
+        table = _expansive_table(metric, tree, tmap, f"component {idx}")
+        if nu is not None:
+            per_component.append(_expected_stretch(metric, nu, table))
         tree_scale, tree_rows = table
         weight = p.numerator * (common // (p.denominator * tree_scale))
         for u in range(n):
@@ -95,7 +120,7 @@ def _pair_rows(g: StGraph, emb: StochasticTreeEmbedding) -> list[_PairRow]:
         for v, acc in enumerate(sums[u], start=u + 1):
             out.append((u, v, dist[v], Fraction(acc, common),
                         Fraction(acc * scale, common * row[v])))
-    return out
+    return out, tuple(per_component)
 
 
 def stochastic_distortion_of(g: StGraph, emb: StochasticTreeEmbedding) -> Fraction:
@@ -103,7 +128,7 @@ def stochastic_distortion_of(g: StGraph, emb: StochasticTreeEmbedding) -> Fracti
 
     Every component must be expansive; a contracted pair raises NotExpansive.
     """
-    return max((row[4] for row in _pair_rows(g, emb)), default=ZERO)
+    return max((row[4] for row in _pair_rows(g, emb)[0]), default=ZERO)
 
 
 @dataclass(frozen=True)
@@ -119,9 +144,7 @@ class DistortionReport:
 def distortion_report(mg: MeasuredGraph, emb: StochasticTreeEmbedding) -> DistortionReport:
     """Per-pair rows, the worst pair and per-component expected distortion;
     a contraction raises NotExpansive, as in stochastic_distortion_of."""
-    per_component = tuple(expected_distortion(mg, tree, tmap)
-                          for tree, tmap, _ in emb)
-    rows = _pair_rows(mg.graph, emb)
+    rows, per_component = _pair_rows(mg.graph, emb, mg.nu)
     worst = (ZERO, (0, 0))
     for u, v, _, _, stretch in rows:
         if stretch > worst[0]:
@@ -140,12 +163,13 @@ def cycle_embedding_witness(cycle_graph: StGraph, tree: GeodesicTree,
     """
     g = cycle_graph
     metric = g.metric
-    ok, witness = check_expansive(metric, tree, tmap)
-    if not ok:
-        raise NotExpansive(f"map contracts pair {witness}")
-    c0 = sum((metric.edge_distance(ei) for ei in range(g.edge_count)), ZERO)
+    _require_total(g, tmap)
+    tree_scale, tree_rows = _expansive_table(metric, tree, tmap)
+    scale, rows = metric.scale, metric.rows
+    c0 = sum(rows[u][v] for u, v in g.edges)  # times scale, like rows
     for ei, (u, v) in enumerate(g.edges):
-        if 8 * tree.distance(tmap(u), tmap(v)) >= c0 - metric.d(u, v):
+        # 8 d_T(f(e)) >= c0 - d(e), cross-multiplied by scale * tree_scale
+        if 8 * tree_rows[u][v] * scale >= (c0 - rows[u][v]) * tree_scale:
             return ei, (u, v)
     raise AssertionError("no witness edge: the cycle lower bound failed")
 
@@ -161,6 +185,23 @@ def _check_edge_size_condition(base: LaaksoBase) -> None:
                 f"branch edge {ei} weighs {g.weights[ei]} > {quarter}")
 
 
+def _truncated(power: SlashPower, tree: GeodesicTree, tmap: TreeMap
+               ) -> tuple[LaaksoBase, list[Fraction], Fraction]:
+    """The base, each edge's d_T(f(e)) and the expected truncated stretch;
+    raises InputError, EdgeSizeViolation and NotExpansive in that order."""
+    base = LaaksoBase.from_measured(power.base)
+    mg = power.graph
+    g = mg.graph
+    _require_total(g, tmap)
+    _check_edge_size_condition(base)
+    tree_scale, tree_rows = _expansive_table(power.metric, tree, tmap)
+    edge_dt = [Fraction(tree_rows[u][v], tree_scale) for u, v in g.edges]
+    cap = TRUNCATION_COEFF * base.c0
+    value = sum((p * min(dt, cap) / w
+                 for p, dt, w in zip(mg.nu, edge_dt, g.weights)), ZERO)
+    return base, edge_dt, value
+
+
 def truncated_expected_stretch(power: SlashPower, tree: GeodesicTree,
                                tmap: TreeMap) -> Fraction:
     """Expectation of min(d_T(f(e))/d(e), (3/32) c0 / d(e)) over the power's
@@ -169,19 +210,7 @@ def truncated_expected_stretch(power: SlashPower, tree: GeodesicTree,
     Requires the base's branch edges to weigh at most c0/4 <= 1/2 and the
     map to be expansive.
     """
-    base = LaaksoBase.from_measured(power.base)
-    _check_edge_size_condition(base)
-    mg = power.graph
-    g = mg.graph
-    ok, witness = check_expansive(power.metric, tree, tmap)
-    if not ok:
-        raise NotExpansive(f"map contracts pair {witness}")
-    cap_num = TRUNCATION_COEFF * base.c0
-    total = ZERO
-    for ei, (u, v) in enumerate(g.edges):
-        w = g.weights[ei]
-        total += mg.nu[ei] * min(tree.distance(tmap(u), tmap(v)) / w, cap_num / w)
-    return total
+    return _truncated(power, tree, tmap)[2]
 
 
 @dataclass(frozen=True)
@@ -198,17 +227,14 @@ def truncated_distortion_bound(power: SlashPower, tree: GeodesicTree,
                                ) -> TruncatedBoundResult:
     """Assert the (3/128) c0 n lower bound and, per maximal cycle, find an
     edge stretched to at least (c0 - d(e))/8 >= (3/32) c0."""
-    base = LaaksoBase.from_measured(power.base)
-    value = truncated_expected_stretch(power, tree, tmap)
+    base, edge_dt, value = _truncated(power, tree, tmap)
     bound = LOWER_COEFF * base.c0 * power.n
     if cycles is None:
         cycles = enumerate_max_cycles(power)
     g = power.graph.graph
     threshold = WITNESS_COEFF * base.c0
-    stretched = []
-    for (u, v), w in zip(g.edges, g.weights):
-        dt = tree.distance(tmap(u), tmap(v))
-        stretched.append(8 * dt >= base.c0 - w and dt >= threshold)
+    stretched = [8 * dt >= base.c0 - w and dt >= threshold
+                 for dt, w in zip(edge_dt, g.weights)]
     witnesses: list[int] = []
     for c in cycles:
         found = next((ei for ei in cycle_edge_indices(g, c) if stretched[ei]), -1)

@@ -38,7 +38,7 @@ def frt_tree(metric: GeodesicMetric, rng: random.Random
     """One sampled dominating tree and the map into its leaves."""
     g = metric.source
     n = g.vertex_count
-    scale, rows = metric.scaled
+    scale, rows = metric.scale, metric.rows
     for u in range(n):
         for v in range(u + 1, n):
             if rows[u][v] == 0:

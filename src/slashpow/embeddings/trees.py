@@ -1,4 +1,5 @@
-"""Weighted trees, vertex maps into them, and stochastic tree embeddings."""
+"""Weighted trees, vertex maps into them, and stochastic tree embeddings.
+Every tree distance is read from the integer table scaled_distances builds."""
 
 from __future__ import annotations
 
@@ -68,13 +69,11 @@ class GeodesicTree:
         return math.lcm(*(w.denominator for w in self.weights))
 
     @cached_property
-    def _rooted(self) -> tuple[tuple[int, ...], tuple[int, ...],
-                               tuple[int, ...], tuple[int, ...]]:
-        """(parent, depth, L * dist-to-root, preorder) rooted at vertex 0."""
+    def _rooted(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(parent, L * dist-to-root, preorder) rooted at vertex 0."""
         n = self.vertex_count
         scale = self.weight_scale
         parent = [-1] * n
-        depth = [0] * n
         dist = [0] * n
         order: list[int] = []
         stack = [0]
@@ -87,21 +86,13 @@ class GeodesicTree:
                     seen.add(y)
                     w = self.weights[ei]
                     parent[y] = x
-                    depth[y] = depth[x] + 1
                     dist[y] = dist[x] + w.numerator * (scale // w.denominator)
                     stack.append(y)
-        return tuple(parent), tuple(depth), tuple(dist), tuple(order)
+        return tuple(parent), tuple(dist), tuple(order)
 
     def distance(self, u: int, v: int) -> Fraction:
-        parent, depth, dist, _ = self._rooted
-        total = dist[u] + dist[v]
-        while depth[u] > depth[v]:
-            u = parent[u]
-        while depth[v] > depth[u]:
-            v = parent[v]
-        while u != v:
-            u, v = parent[u], parent[v]
-        return Fraction(total - 2 * dist[u], self.weight_scale)
+        scale, rows = self.scaled_distances((u, v))
+        return Fraction(rows[0][1], scale)
 
     def scaled_distances(self, points: Sequence[int]
                          ) -> tuple[int, list[list[int]]]:
@@ -112,7 +103,7 @@ class GeodesicTree:
         contiguous run of the points: a child's distances are its parent's
         plus the edge weight, minus it inside the child's subtree.
         """
-        parent, _, dist, order = self._rooted
+        parent, dist, order = self._rooted
         wanted = set(points)
         start = [0] * self.vertex_count  # points before each vertex in preorder
         size = [0] * self.vertex_count  # points in each subtree

@@ -294,26 +294,15 @@ def associativity_isomorphism_check(mg: MeasuredGraph,
     right, _ = _raw_product(mg, inner_b,
                             lambda ei, v: f"R{ei}:{inner_b.graph.names[v]}")
 
-    # Edge index arithmetic mirrors _raw_product's h-edge-major ordering.
-    def left_triple(idx: int) -> tuple[int, int, int]:
-        inner_idx, h3 = divmod(idx, e)
-        h1, h2 = divmod(inner_idx, e)
-        return (h1, h2, h3)
-
-    def right_triple(idx: int) -> tuple[int, int, int]:
-        h1, inner_idx = divmod(idx, e * e)
-        h2, h3 = divmod(inner_idx, e)
-        return (h1, h2, h3)
-
-    right_by_triple = {right_triple(i): i for i in range(right.graph.edge_count)}
+    # _raw_product orders edges h-edge-major, so on both sides edge i
+    # substitutes the base edges given by the base-e digits of i.
     phi: dict[int, int] = {}
     for i in range(left.graph.edge_count):
-        j = right_by_triple[left_triple(i)]
-        if left.graph.weights[i] != right.graph.weights[j]:
+        if left.graph.weights[i] != right.graph.weights[i]:
             return False
-        if left.nu[i] != right.nu[j]:
+        if left.nu[i] != right.nu[i]:
             return False
-        for a, b in zip(left.graph.edges[i], right.graph.edges[j]):
+        for a, b in zip(left.graph.edges[i], right.graph.edges[i]):
             if phi.setdefault(a, b) != b:
                 return False
     if len(phi) != left.graph.vertex_count:

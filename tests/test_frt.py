@@ -52,8 +52,8 @@ def test_embed_probabilities_and_reproducibility():
 
 def test_degenerate_metric_rejected():
     g = diamond().graph
-    rows = [[F(0)] * 4 for _ in range(4)]  # everything at distance 0
-    broken = GeodesicMetric(source=g, dist=tuple(tuple(r) for r in rows))
+    rows = ((0,) * 4,) * 4  # everything at distance 0
+    broken = GeodesicMetric(source=g, scale=1, rows=rows)
     with pytest.raises(DegenerateMetric):
         frt_tree(broken, random.Random(0))
 

@@ -10,9 +10,9 @@ from fractions import Fraction as F
 import pytest
 
 import slashpow as sp
-from helpers import all_pairs, diamond
+from helpers import all_pairs, diamond, unit_cycle_measured
+from slashpow.constructions import MeasuredGraph
 from slashpow.core import (
-    GeodesicMetric,
     StGraph,
     brute_force_distance,
     cycle_edge_indices,
@@ -24,11 +24,15 @@ from slashpow.embeddings import (
     GeodesicTree,
     StochasticTreeEmbedding,
     check_expansive,
+    cycle_embedding_witness,
     distortion_report,
     frt_embed,
     frt_tree,
     identity_tree_map,
+    iter_labeled_trees,
+    optimal_tree_weights,
     stochastic_distortion_of,
+    truncated_distortion_bound,
 )
 from slashpow.embeddings.frt import RADIUS_GRID
 from slashpow.errors import InvalidPath, NotExpansive
@@ -82,7 +86,7 @@ def test_integer_dijkstra_matches_brute_force():
         n = rng.randint(2, 7)
         g = random_graph(rng, n, extra=rng.randint(0, 6))
         metric = geodesic_metric(g)
-        scale, rows = metric.scaled
+        scale, rows = metric.scale, metric.rows
         for u in range(n):
             from_u = single_source_distances(g, u)
             for v in range(n):
@@ -90,12 +94,6 @@ def test_integer_dijkstra_matches_brute_force():
                 assert from_u[v] == want
                 assert metric.d(u, v) == want
                 assert isinstance(rows[u][v], int) and F(rows[u][v], scale) == want
-        # The view a metric builds from its Fractions agrees with the one
-        # geodesic_metric fills in.
-        plain_scale, plain_rows = GeodesicMetric(source=g, dist=metric.dist).scaled
-        assert all(F(a, scale) == F(b, plain_scale)
-                   for row, plain in zip(rows, plain_rows)
-                   for a, b in zip(row, plain))
 
 
 def test_tree_table_matches_path_sums():
@@ -202,6 +200,64 @@ def test_pair_rows_match_fraction_sums():
                    F(0))
         assert (ru, rv, d, mean, stretch) == (u, v, g.metric.d(u, v), want,
                                               want / g.metric.d(u, v))
+
+
+def test_component_distortion_matches_fraction_sums():
+    weighted = sp.build_laakso((1, 2, 2, 0), stem=[F(3, 7)],
+                               branch1=[F(1, 7), F(3, 7)],
+                               branch2=[F(2, 7), F(2, 7)])
+    for base in (diamond(), weighted):
+        mg = sp.slash_power(base, 2).graph
+        g = mg.graph
+        emb = frt_embed(g.metric, seed=9, samples=3)
+        want = tuple(
+            sum((mg.nu[ei] * path_sum(tree, tmap(u), tmap(v)) / g.metric.d(u, v)
+                 for ei, (u, v) in enumerate(g.edges)), F(0))
+            for tree, tmap, _ in emb)
+        assert distortion_report(mg, emb).expected_distortion == want
+
+
+def test_cycle_witness_is_the_first_stretched_edge():
+    # Every labeled topology of the unit 4- and 5-cycles with LP-optimal
+    # weights, against a path-sum reference.  On a unit cycle every edge of
+    # an expansive tree qualifies; the two 4-cycles of length 2 put their
+    # first edge at d = c0/9, where 8 d_T >= c0 - d holds with equality for
+    # d_T = d, and at d = c0/10, where it fails.
+    def four_cycle(first):
+        g = sp.cycle_st_graph([first, 1 - first], [F(1, 2), F(1, 2)])
+        return MeasuredGraph(graph=g, nu=(F(1, 4),) * 4)
+
+    for mg in (unit_cycle_measured(4), unit_cycle_measured(5),
+               four_cycle(F(2, 9)), four_cycle(F(1, 5))):
+        g = mg.graph
+        n = g.vertex_count
+        d = g.metric.d
+        c0 = sum((d(u, v) for u, v in g.edges), F(0))
+        tmap = identity_tree_map(n)
+        for _, edges in iter_labeled_trees(n):
+            _, weights = optimal_tree_weights(g.metric, mg.nu, edges)
+            tree = GeodesicTree(names=g.names, edges=edges, weights=weights)
+            want = next((ei, (u, v)) for ei, (u, v) in enumerate(g.edges)
+                        if 8 * path_sum(tree, u, v) >= c0 - d(u, v))
+            assert cycle_embedding_witness(g, tree, tmap) == want
+
+
+def test_distortion_layer_reads_only_tree_tables(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("GeodesicTree.distance called")
+
+    mg = diamond()
+    power = sp.slash_power(mg, 2)
+    metric = power.metric
+    tree, tmap = frt_tree(metric, random.Random(4))
+    cycle = unit_cycle_measured(5).graph
+    cycle_tree = GeodesicTree(names=cycle.names,
+                              edges=tuple((i, i + 1) for i in range(4)),
+                              weights=(F(1),) * 4)
+    monkeypatch.setattr(GeodesicTree, "distance", refuse)
+    distortion_report(power.graph, frt_embed(metric, seed=2, samples=2))
+    assert truncated_distortion_bound(power, tree, tmap).holds
+    cycle_embedding_witness(cycle, cycle_tree, identity_tree_map(5))
 
 
 def test_trees_from_different_seeds_keep_their_distances():

@@ -187,6 +187,10 @@ def test_associativity():
     assert associativity_isomorphism_check(single_edge())
     assert associativity_isomorphism_check(diamond())
     assert associativity_isomorphism_check(laakso1221())
+    weighted = sp.build_laakso((1, 2, 2, 0), stem=[F(3, 7)],
+                               branch1=[F(1, 7), F(3, 7)],
+                               branch2=[F(2, 7), F(2, 7)])
+    assert associativity_isomorphism_check(weighted)
 
 
 def test_lift_path():
