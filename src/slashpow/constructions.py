@@ -3,6 +3,7 @@ Laakso graphs, and extraction of a Laakso s-t subgraph around a cycle."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -41,13 +42,17 @@ class MeasuredGraph:
     def __post_init__(self):
         if len(self.nu) != self.graph.edge_count:
             raise InputError("measure must assign a value to every edge")
-        total = Fraction(0)
-        for x in self.nu:
+        # Each distinct object is checked once, in order of first use, and
+        # the sum is value times count; id() keys stay valid while self.nu
+        # holds the objects.
+        counts = Counter(map(id, self.nu))
+        distinct = dict(zip(map(id, self.nu), self.nu))
+        for x in distinct.values():
             if not isinstance(x, Fraction):
                 raise InputError("measure values must be Fractions")
             if x < 0 or (x == 0 and not self.restricted):
                 raise InputError(f"measure value {x} out of range")
-            total += x
+        total = sum((x * counts[key] for key, x in distinct.items()), ZERO)
         if total != 1:
             raise InputError(f"measure sums to {total}, not 1")
 

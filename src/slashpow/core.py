@@ -105,18 +105,22 @@ class StGraph:
             raise InputError("s or t out of range")
         if self.s == self.t:
             raise InputError("s and t must be distinct")
-        seen: set[frozenset[int]] = set()
+        seen: set[tuple[int, int]] = set()
+        # Powers repeat a few weight objects on every edge: each object is
+        # checked once, keyed by id(), which self.weights keeps valid.
+        checked: set[int] = set()
         for (u, v), w in zip(self.edges, self.weights):
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise InputError(f"loop at vertex {u}")
-            key = frozenset((u, v))
-            if key in seen:
+            if (u, v) in seen or (v, u) in seen:
                 raise InputError(f"parallel edge between {u} and {v}")
-            seen.add(key)
-            if not isinstance(w, Fraction) or w <= 0:
-                raise InputError(f"edge ({u},{v}) has non-positive weight {w}")
+            seen.add((u, v))
+            if id(w) not in checked:
+                if not isinstance(w, Fraction) or w <= 0:
+                    raise InputError(f"edge ({u},{v}) has non-positive weight {w}")
+                checked.add(id(w))
 
     @property
     def vertex_count(self) -> int:

@@ -37,9 +37,10 @@ def expected_distortion(mg: MeasuredGraph, tree: GeodesicTree,
 
 def check_expansive(metric: GeodesicMetric, tree: GeodesicTree,
                     tmap: TreeMap) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Exhaustive over vertex pairs; returns the first contracted pair."""
-    n = metric.source.vertex_count
-    pair = _first_contraction(metric, tree.scaled_distances(tmap.vertex_map[:n]))
+    """Exhaustive over vertex pairs; returns the first contracted pair.  A
+    map whose length is not the vertex count raises InputError."""
+    _require_total(metric.source, tmap)
+    pair = _first_contraction(metric, tree.scaled_distances(tmap.vertex_map))
     return pair is None, pair
 
 

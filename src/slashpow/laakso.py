@@ -27,6 +27,7 @@ from .core import (
     CycleSeq,
     PathSeq,
     StGraph,
+    _scaled_distances,
     _str_digit_limit,
     cycle_edge_indices,
     cycle_metric_length,
@@ -36,7 +37,6 @@ from .core import (
     is_strictly_geodesic_st,
     path_cap,
     path_length,
-    single_source_distances,
 )
 from .errors import (
     CapExceeded,
@@ -202,18 +202,25 @@ def selector_identity_sum(power: SlashPower,
     mg = power.graph
     if cycles is None:
         cycles = enumerate_max_cycles(power)
-    total = ZERO
+    # Every pick is checked in cycle order; an edge's cycle count is computed
+    # at its first pick, and its term enters the sum once, times its picks.
+    through: dict[int, int] = {}
+    picks: dict[int, int] = {}
     for c in cycles:
         eidx = selector(c)
         if eidx not in cycle_edge_indices(mg.graph, c):
             raise SelectorError(f"selected edge {eidx} is not on the cycle")
+        if eidx in picks:
+            picks[eidx] += 1
+            continue
         label = power.edge_label(eidx)
         if label[0] not in base.cycle_edge_ids:
             raise SelectorError(
                 f"selected edge {eidx} has coarse coordinate off the branch cycle")
-        through = count_max_cycles_through_edge(base, label)
-        total += Fraction(1, through) * mg.nu[eidx] / mg.graph.weights[eidx]
-    return total
+        through[eidx] = count_max_cycles_through_edge(base, label)
+        picks[eidx] = 1
+    return sum((Fraction(count, through[eidx]) * mg.nu[eidx] / mg.graph.weights[eidx]
+                for eidx, count in picks.items()), ZERO)
 
 
 @dataclass(frozen=True)
@@ -439,13 +446,16 @@ def _spot_check_isometry(big: StGraph, sub: LaaksoSubgraph,
                          sources: int = 8) -> None:
     """Induced distances from a few subgraph vertices must equal the ambient
     restriction; deterministic choice of sources spread over the segments."""
-    small_metric = sub.graph.metric
+    small = sub.graph.metric
+    big_scale = big.weight_scale
     nv = sub.graph.vertex_count
     step = max(1, nv // sources)
     for u in range(0, nv, step):
-        ambient = single_source_distances(big, sub.parent_vertices[u])
+        # d_small(u, v) == d_big, cross-multiplied by both scales
+        ambient = _scaled_distances(big, sub.parent_vertices[u])
+        row = small.rows[u]
         for v in range(nv):
-            if small_metric.d(u, v) != ambient[sub.parent_vertices[v]]:
+            if row[v] * big_scale != ambient[sub.parent_vertices[v]] * small.scale:
                 raise InputError(
                     f"subgraph is not isometric at pair ({u}, {v})")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .constructions import MeasuredGraph
 from .core import StGraph, _str_digit_limit
@@ -59,6 +59,22 @@ def parse_fraction(raw: Any) -> Fraction:
     if isinstance(raw, int):
         return Fraction(raw)
     raise SchemaError(f"rational must be a string or integer, got {type(raw).__name__}")
+
+
+def _parser() -> Callable[[Any], Fraction]:
+    """parse_fraction, run once per distinct string: equal strings give one
+    Fraction object."""
+    parsed: dict[str, Fraction] = {}
+
+    def parse(raw: Any) -> Fraction:
+        if not isinstance(raw, str):
+            return parse_fraction(raw)
+        x = parsed.get(raw)
+        if x is None:
+            x = parsed[raw] = parse_fraction(raw)
+        return x
+
+    return parse
 
 
 def graph_to_dict(g: StGraph) -> dict:
@@ -104,27 +120,28 @@ def graph_from_dict(doc: dict) -> StGraph:
     raw_edges = _require(doc, "edges")
     if not isinstance(raw_edges, list):
         raise SchemaError("edges must be a list")
-    pair_weight: dict[frozenset[int], Fraction] = {}
+    parse = _parser()
+    # keyed by the ordered pair of the edge row
+    pair_weight: dict[tuple[int, int], Fraction] = {}
     for row in raw_edges:
         if not isinstance(row, list) or len(row) != 3:
             raise SchemaError(f"edge row must be [u, v, weight], got {row!r}")
         u, v = vid(row[0]), vid(row[1])
-        key = frozenset((u, v))
-        if key in pair_weight:
+        if (u, v) in pair_weight or (v, u) in pair_weight:
             raise SchemaError(f"duplicate edge {row[0]!r}-{row[1]!r}")
-        pair_weight[key] = parse_fraction(row[2])
+        pair_weight[u, v] = parse(row[2])
 
     orientation = _require(doc, "orientation")
     if not isinstance(orientation, list) or len(orientation) != len(raw_edges):
         raise SchemaError("orientation must list every edge exactly once")
     edges: list[tuple[int, int]] = []
     weights: list[Fraction] = []
-    seen: set[frozenset[int]] = set()
+    seen: set[tuple[int, int]] = set()
     for row in orientation:
         if not isinstance(row, list) or len(row) != 2:
             raise SchemaError(f"orientation row must be [tail, head], got {row!r}")
         u, v = vid(row[0]), vid(row[1])
-        key = frozenset((u, v))
+        key = (u, v) if (u, v) in pair_weight else (v, u)
         if key not in pair_weight:
             raise SchemaError(f"orientation names a non-edge {row!r}")
         if key in seen:
@@ -146,7 +163,7 @@ def measured_from_dict(doc: dict) -> MeasuredGraph:
     raw = _require(doc, "measure")
     if not isinstance(raw, list) or len(raw) != g.edge_count:
         raise SchemaError("measure must align with edges")
-    nu = tuple(parse_fraction(x) for x in raw)
+    nu = tuple(map(_parser(), raw))
     try:
         return MeasuredGraph(graph=g, nu=nu,
                              restricted=bool(doc.get("restricted", False)))

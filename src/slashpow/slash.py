@@ -9,6 +9,7 @@ paths cheap.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +45,25 @@ def _interiors(g: StGraph) -> tuple[int, ...]:
     return tuple(v for v in range(g.vertex_count) if v not in (g.s, g.t))
 
 
+def _scaled_rows(scales: Sequence[Fraction], values: Sequence[Fraction]
+                 ) -> list[tuple[Fraction, ...]]:
+    """Per scale, the products scale * x over values.
+
+    A row is built once per distinct scale object (by id(); the caller's
+    sequence keeps the objects alive), and equal products are one object, so
+    rows built from these products are shared at the next level as well."""
+    canon: dict[Fraction, Fraction] = {}
+    built: dict[int, tuple[Fraction, ...]] = {}
+    rows = []
+    for scale in scales:
+        row = built.get(id(scale))
+        if row is None:
+            row = built[id(scale)] = tuple(
+                canon.setdefault(p, p) for p in [scale * x for x in values])
+        rows.append(row)
+    return rows
+
+
 def _substitute(h: StGraph, replaced: Sequence[int], g: StGraph,
                 interior_name: Callable[[int, int], str]
                 ) -> tuple[StGraph, tuple[tuple[int, ...], ...]]:
@@ -59,16 +79,15 @@ def _substitute(h: StGraph, replaced: Sequence[int], g: StGraph,
     weights = [w for i, w in enumerate(h.weights) if i not in gone]
     interiors = _interiors(g)
     tables: list[tuple[int, ...]] = []
-    for ei in replaced:
+    rows = _scaled_rows([h.weights[ei] for ei in replaced], g.weights)
+    for ei, row in zip(replaced, rows):
         table = [0] * g.vertex_count
         table[g.s], table[g.t] = h.edges[ei]
         for v in interiors:
             table[v] = len(names)
             names.append(interior_name(ei, v))
-        scale = h.weights[ei]
-        for (u, v), w in zip(g.edges, g.weights):
-            edges.append((table[u], table[v]))
-            weights.append(scale * w)
+        edges.extend((table[u], table[v]) for u, v in g.edges)
+        weights.extend(row)
         tables.append(tuple(table))
     graph = StGraph(names=_uniquify(names), edges=tuple(edges),
                     weights=tuple(weights), s=h.s, t=h.t)
@@ -85,7 +104,7 @@ def _raw_product(h: MeasuredGraph, g: MeasuredGraph,
     """
     graph, copy_vertices = _substitute(h.graph, range(h.graph.edge_count),
                                        g.graph, interior_name)
-    nu = tuple(nh * x for nh in h.nu for x in g.nu)
+    nu = tuple(itertools.chain.from_iterable(_scaled_rows(h.nu, g.nu)))
     return MeasuredGraph(graph=graph, nu=nu), copy_vertices
 
 

@@ -67,6 +67,13 @@ def test_check_expansive_collapse():
     assert witness == (0, 1)
 
 
+@pytest.mark.parametrize("vertex_map", [(0, 1, 2), (0, 1, 2, 3, 0)])
+def test_check_expansive_needs_a_map_of_every_vertex(vertex_map):
+    tree = path_tree(("a", "b", "c", "d"), (F(1),) * 3)
+    with pytest.raises(InputError, match="map must cover every vertex"):
+        check_expansive(diamond().graph.metric, tree, TreeMap(vertex_map=vertex_map))
+
+
 def test_stochastic_distortion_identity():
     mg = sp.build_path([F(1, 2)] * 2)
     tree = path_tree(mg.graph.names, mg.graph.weights)
