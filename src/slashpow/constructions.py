@@ -295,9 +295,6 @@ class LaaksoSubgraph:
     parent_vertices: tuple[int, ...]
     parent_edges: tuple[int, ...]
 
-    def parent_vertex(self, v: int) -> int:
-        return self.parent_vertices[v]
-
 
 def build_laakso_subgraph(g: StGraph, stem: Sequence[int], arc1: Sequence[int],
                           arc2: Sequence[int], tail: Sequence[int]) -> LaaksoSubgraph:

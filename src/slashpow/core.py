@@ -216,22 +216,8 @@ class ValidationReport:
         return tuple(i for i, ok in enumerate(self.edge_on_st_path) if not ok)
 
 
-def is_connected(g: StGraph) -> bool:
-    if g.vertex_count == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, _ in g.und_adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.vertex_count
-
-
-def _directed_reach(g: StGraph, start: int, forward: bool) -> set[int]:
-    adj = g.out_adj if forward else g.in_adj
+def _reach(adj: Sequence[Sequence[tuple[int, int]]], start: int) -> set[int]:
+    """Vertices reachable from start along the (neighbor, edge) lists adj."""
     seen = {start}
     stack = [start]
     while stack:
@@ -241,6 +227,10 @@ def _directed_reach(g: StGraph, start: int, forward: bool) -> set[int]:
                 seen.add(v)
                 stack.append(v)
     return seen
+
+
+def is_connected(g: StGraph) -> bool:
+    return g.vertex_count == 0 or len(_reach(g.und_adj, 0)) == g.vertex_count
 
 
 def topological_order(g: StGraph) -> Optional[tuple[int, ...]]:
@@ -313,8 +303,8 @@ def validate_st_graph(g: StGraph) -> ValidationReport:
     if topological_order(g) is not None:
         # In a DAG, s->u and v->t reachability suffices: the two paths cannot
         # share a vertex without creating a directed cycle.
-        fwd = _directed_reach(g, g.s, forward=True)
-        bwd = _directed_reach(g, g.t, forward=False)
+        fwd = _reach(g.out_adj, g.s)
+        bwd = _reach(g.in_adj, g.t)
         flags = tuple(u in fwd and v in bwd for u, v in g.edges)
     else:
         flags = tuple(_simple_st_path_through(g, i) for i in range(g.edge_count))
@@ -381,10 +371,9 @@ def geodesic_metric(g: StGraph) -> GeodesicMetric:
 
 
 def shortest_path_lex(g: StGraph, u: int, v: int,
-                      dist_to_v: Optional[Sequence[Fraction]] = None) -> PathSeq:
-    """Lexicographically smallest among minimum-weight u-v paths (undirected)."""
-    if dist_to_v is None:
-        dist_to_v = single_source_distances(g, v)
+                      dist_to_v: Sequence[Fraction]) -> PathSeq:
+    """Lexicographically smallest among minimum-weight u-v paths (undirected),
+    given the distances dist_to_v from every vertex to v."""
     path = [u]
     w = u
     while w != v:
@@ -464,13 +453,13 @@ def cycle_metric_length(metric: GeodesicMetric, c: Sequence[int]) -> Fraction:
     return total
 
 
-def enumerate_st_paths(g: StGraph, cap: Optional[int] = None) -> tuple[PathSeq, ...]:
+def enumerate_st_paths(g: StGraph) -> tuple[PathSeq, ...]:
     """All simple directed s-t paths in lexicographic vertex order.
 
-    Raises CapExceeded (naming the count) when more than `cap` paths exist.
+    Raises CapExceeded (naming the count) when more than path_cap() paths
+    exist.
     """
-    if cap is None:
-        cap = path_cap()
+    cap = path_cap()
     if topological_order(g) is not None:
         # Exact count first so the error can name it.
         count = _count_dag_st_paths(g)
@@ -504,8 +493,7 @@ def _count_dag_st_paths(g: StGraph) -> int:
     return count[g.t]
 
 
-def st_path_length_range(g: StGraph,
-                         cap: Optional[int] = None) -> tuple[Fraction, Fraction]:
+def st_path_length_range(g: StGraph) -> tuple[Fraction, Fraction]:
     """(min, max) metric length over all directed s-t paths; raises
     NotGeodesicStGraph when the graph fails validate_st_graph."""
     if not validate_st_graph(g).ok:
@@ -526,7 +514,7 @@ def st_path_length_range(g: StGraph,
         if g.t not in lo:
             raise NotGeodesicStGraph("t unreachable from s along the orientation")
         return lo[g.t], hi[g.t]
-    paths = enumerate_st_paths(g, cap=cap)
+    paths = enumerate_st_paths(g)
     if not paths:
         raise NotGeodesicStGraph("no directed s-t path")
     lengths = [path_length(g, p) for p in paths]
@@ -542,13 +530,10 @@ def is_normalized_geodesic_st(g: StGraph) -> bool:
     return lo == hi == _ONE
 
 
-def undirected_st_path_length_range(g: StGraph,
-                                    cap: Optional[int] = None
-                                    ) -> tuple[Fraction, Fraction]:
+def undirected_st_path_length_range(g: StGraph) -> tuple[Fraction, Fraction]:
     """(min, max) metric length over all simple s-t paths, orientation
-    ignored.  Exponential in the worst case; capped."""
-    if cap is None:
-        cap = path_cap()
+    ignored.  Exponential in the worst case; capped by path_cap()."""
+    cap = path_cap()
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
     found = 0
@@ -574,7 +559,7 @@ def undirected_st_path_length_range(g: StGraph,
     return lo, hi
 
 
-def is_strictly_geodesic_st(g: StGraph, cap: Optional[int] = None) -> bool:
+def is_strictly_geodesic_st(g: StGraph) -> bool:
     """True iff every simple s-t path, with or against the orientation, has
     the same metric length.
 
@@ -584,7 +569,7 @@ def is_strictly_geodesic_st(g: StGraph, cap: Optional[int] = None) -> bool:
     """
     if not validate_st_graph(g).ok:
         return False
-    lo, hi = undirected_st_path_length_range(g, cap)
+    lo, hi = undirected_st_path_length_range(g)
     return lo == hi
 
 
@@ -623,11 +608,10 @@ def brute_force_distance(g: StGraph, u: int, v: int) -> Fraction:
     return best[0]
 
 
-def enumerate_cycles(g: StGraph, cap: Optional[int] = None) -> tuple[CycleSeq, ...]:
+def enumerate_cycles(g: StGraph) -> tuple[CycleSeq, ...]:
     """All simple cycles, canonicalized: smallest vertex first, smaller
-    neighbor second.  Deterministic order; capped."""
-    if cap is None:
-        cap = path_cap()
+    neighbor second.  Deterministic order; capped by path_cap()."""
+    cap = path_cap()
     cycles: list[CycleSeq] = []
 
     def search(start: int, path: list[int], used: set[int]) -> None:

@@ -14,7 +14,7 @@ from ..core import GeodesicMetric, StGraph, cycle_edge_indices
 from ..errors import EdgeSizeViolation, InputError, NotExpansive
 from ..laakso import LaaksoBase, enumerate_max_cycles
 from ..slash import SlashPower
-from .oracle import ORACLE_VERTEX_CAP, OracleResult, oracle_min_expected_distortion
+from .oracle import OracleResult, oracle_min_expected_distortion
 from .trees import GeodesicTree, StochasticTreeEmbedding, TreeMap
 
 ZERO = Fraction(0)
@@ -261,8 +261,7 @@ class LowerBoundReport:
     oracle: OracleResult
 
 
-def lower_bound_c_nu(mg: MeasuredGraph,
-                     vertex_cap: int = ORACLE_VERTEX_CAP) -> LowerBoundReport:
-    result = oracle_min_expected_distortion(mg, vertex_cap=vertex_cap)
+def lower_bound_c_nu(mg: MeasuredGraph) -> LowerBoundReport:
+    result = oracle_min_expected_distortion(mg)
     return LowerBoundReport(steiner_free=result.value,
                             general=result.value / 8, oracle=result)

@@ -118,18 +118,17 @@ class OracleResult:
     prufer: tuple[int, ...]
 
 
-def oracle_min_expected_distortion(mg: MeasuredGraph,
-                                   vertex_cap: int = ORACLE_VERTEX_CAP
-                                   ) -> OracleResult:
+def oracle_min_expected_distortion(mg: MeasuredGraph) -> OracleResult:
     """Minimum expected distortion over expansive Steiner-free trees.
 
-    Exhaustive over the n^(n-2) labeled topologies; ties between topologies
-    break toward the smaller Prufer sequence.
+    Exhaustive over the n^(n-2) labeled topologies, so refused above
+    ORACLE_VERTEX_CAP vertices; ties between topologies break toward the
+    smaller Prufer sequence.
     """
     g = mg.graph
     n = g.vertex_count
-    if n > vertex_cap:
-        raise CapExceeded(f"{n} vertices exceed the oracle cap {vertex_cap}")
+    if n > ORACLE_VERTEX_CAP:
+        raise CapExceeded(f"{n} vertices exceed the oracle cap {ORACLE_VERTEX_CAP}")
     if n < 2:
         raise InputError("need at least two vertices")
     metric = g.metric

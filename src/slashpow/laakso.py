@@ -161,10 +161,10 @@ def count_max_cycles_through_edge(base: LaaksoBase, label: EdgeLabel) -> int:
         for j in range(2, len(label) + 1))
 
 
-def enumerate_max_cycles(power: SlashPower,
-                         cap: Optional[int] = None) -> tuple[CycleSeq, ...]:
+def enumerate_max_cycles(power: SlashPower) -> tuple[CycleSeq, ...]:
     """All maximal-length cycles of a balanced Laakso power, as vertex
-    sequences of the materialized graph.
+    sequences of the materialized graph; refused when there are more than
+    path_cap() of them.
 
     Cycles at each level arise from the previous level by routing every
     cycle edge through one of the two s-t routes of the base; enumeration
@@ -172,8 +172,7 @@ def enumerate_max_cycles(power: SlashPower,
     """
     base = LaaksoBase.from_measured(power.base)
     expected = count_max_cycles(base.structure.params, power.n)
-    if cap is None:
-        cap = path_cap()
+    cap = path_cap()
     if expected > cap:
         raise CapExceeded(f"{expected} cycles exceed cap {cap}")
     routes = (base.structure.route1(), base.structure.route2())
@@ -271,8 +270,7 @@ def balancing_power(params: LaaksoParams) -> int:
     return n + 1
 
 
-def find_balanced_laakso(mg: MeasuredGraph,
-                         cap: Optional[int] = None) -> BalancedLaaksoWitness:
+def find_balanced_laakso(mg: MeasuredGraph) -> BalancedLaaksoWitness:
     """Find a balanced Laakso s-t subgraph inside a power of a Laakso graph.
 
     The shorter branch is lifted through the longer route and vice versa; at
@@ -286,7 +284,7 @@ def find_balanced_laakso(mg: MeasuredGraph,
     p = st.params
 
     if p.balanced:
-        power = slash_power(mg, 1, cap)
+        power = slash_power(mg, 1)
         sub = build_laakso_subgraph(mg.graph, st.stem, st.branch1, st.branch2, st.tail)
         return BalancedLaaksoWitness(base=base, n0=1, i=0, power=power,
                                      q1=st.branch1, q2=st.branch2,
@@ -305,7 +303,7 @@ def find_balanced_laakso(mg: MeasuredGraph,
     if not (0 <= i <= m_prev):
         raise InputError(f"switch count {i} out of range [0, {m_prev}]")
 
-    power = slash_power(mg, n0, cap)
+    power = slash_power(mg, n0)
 
     q1: PathSeq = branch_small
     for level in range(1, n0 - 1):
@@ -350,24 +348,24 @@ class PipelineResult:
     c0: Fraction
 
 
-def balanced_laakso_pipeline(mg: MeasuredGraph,
-                             cap: Optional[int] = None) -> PipelineResult:
+def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
     """Find N and a balanced Laakso s-t subgraph of the N-th power whose
     cycle realizes the maximal cycle length of the input and whose edges all
     weigh at most a quarter of it; attach the standard stem/branch measure,
     vanishing off the subgraph.
 
-    Raises NoCycle when the input is a path.
+    Raises NoCycle when the input is a path, and CapExceeded when an s-t
+    path or cycle count passes path_cap() or a power passes edge_cap().
     """
     g = mg.graph
     if not is_normalized_geodesic_st(g):
         raise NotNormalized("pipeline input must be a normalized geodesic s-t graph")
-    if not is_strictly_geodesic_st(g, cap):
+    if not is_strictly_geodesic_st(g):
         # Zig-zag s-t paths of other lengths void the isometric-subgraph
         # guarantees the construction rests on.
         raise NotNormalized(
             "some s-t path has a different length when orientation is ignored")
-    cycles = enumerate_cycles(g, cap)
+    cycles = enumerate_cycles(g)
     if not cycles:
         raise NoCycle("input graph is a path")
     c0 = max(cycle_metric_length(g.metric, c) for c in cycles)
@@ -381,7 +379,7 @@ def balanced_laakso_pipeline(mg: MeasuredGraph,
         st = None
     if (st is not None and st.params.balanced
             and max(g.weights) <= quarter):
-        power = slash_power(mg, 1, cap)
+        power = slash_power(mg, 1)
         sub = build_laakso_subgraph(g, st.stem, st.branch1, st.branch2, st.tail)
         measure = laakso_measure(g, st)
         return PipelineResult(n=1, power=power, subgraph=sub,
@@ -390,14 +388,14 @@ def balanced_laakso_pipeline(mg: MeasuredGraph,
     route = next((p for p in enumerate_st_paths(g) if len(p) >= 3), None)
     assert route is not None, "a graph with a cycle has an s-t path of length >= 2"
 
-    pw2 = slash_power(mg, 2, cap)
+    pw2 = slash_power(mg, 2)
     c1 = lift_cycle(pw2, 1, cycle0, [route] * len(cycle0))
     extraction = laakso_from_cycle(pw2.graph.graph, c1)
     if max(extraction.graph.weights) >= 1:
         raise InputError("extracted subgraph has an edge of full length")
     inner = laakso_measure(extraction.graph, extraction.structure)
 
-    witness = find_balanced_laakso(inner, cap)
+    witness = find_balanced_laakso(inner)
     n_star = witness.n0
     inner_power = witness.power
     segments = [witness.r1, witness.q1, witness.q2, witness.r2]
@@ -413,13 +411,13 @@ def balanced_laakso_pipeline(mg: MeasuredGraph,
 
     while seg_max_weight(inner_power, segments) > quarter:
         n_star += 1
-        inner_power = slash_power(inner, n_star, cap)
+        inner_power = slash_power(inner, n_star)
         segments = [lift_path(inner_power, n_star - 1, seg,
                               [least_route] * (len(seg) - 1))
                     for seg in segments]
 
     n_final = 2 * n_star
-    power = slash_power(mg, n_final, cap)
+    power = slash_power(mg, n_final)
     final_segments = _transport_segments(power, pw2, extraction, inner_power, segments)
     sub = build_laakso_subgraph(power.graph.graph, *final_segments)
     assert sub.structure.params.balanced
@@ -442,20 +440,19 @@ def balanced_laakso_pipeline(mg: MeasuredGraph,
                           measure=measure, c0=c0)
 
 
-def _spot_check_isometry(big: StGraph, sub: LaaksoSubgraph,
-                         sources: int = 8) -> None:
-    """Induced distances from a few subgraph vertices must equal the ambient
+def _spot_check_isometry(big: StGraph, sub: LaaksoSubgraph) -> None:
+    """Induced distances from 8 subgraph vertices must equal the ambient
     restriction; deterministic choice of sources spread over the segments."""
-    small = sub.graph.metric
-    big_scale = big.weight_scale
-    nv = sub.graph.vertex_count
-    step = max(1, nv // sources)
+    small = sub.graph
+    big_scale, small_scale = big.weight_scale, small.weight_scale
+    nv = small.vertex_count
+    step = max(1, nv // 8)
     for u in range(0, nv, step):
         # d_small(u, v) == d_big, cross-multiplied by both scales
         ambient = _scaled_distances(big, sub.parent_vertices[u])
-        row = small.rows[u]
+        row = _scaled_distances(small, u)
         for v in range(nv):
-            if row[v] * big_scale != ambient[sub.parent_vertices[v]] * small.scale:
+            if row[v] * big_scale != ambient[sub.parent_vertices[v]] * small_scale:
                 raise InputError(
                     f"subgraph is not isometric at pair ({u}, {v})")
 

@@ -171,9 +171,9 @@ def measured_from_dict(doc: dict) -> MeasuredGraph:
         raise SchemaError(str(exc)) from exc
 
 
-def dumps(obj: StGraph | MeasuredGraph, indent: int | None = 2) -> str:
+def dumps(obj: StGraph | MeasuredGraph) -> str:
     doc = measured_to_dict(obj) if isinstance(obj, MeasuredGraph) else graph_to_dict(obj)
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
 def loads(text: str) -> StGraph | MeasuredGraph:

@@ -113,10 +113,10 @@ def _require_normalized(mg: MeasuredGraph, role: str) -> None:
         raise NotNormalized(f"{role} graph is not a normalized geodesic s-t graph")
 
 
-def slash_product(h: MeasuredGraph, g: MeasuredGraph,
-                  cap: Optional[int] = None) -> MeasuredGraph:
-    """Measured slash product of two normalized geodesic s-t graphs."""
-    cap = edge_cap() if cap is None else cap
+def slash_product(h: MeasuredGraph, g: MeasuredGraph) -> MeasuredGraph:
+    """Measured slash product of two normalized geodesic s-t graphs, refused
+    when it would have more than edge_cap() edges."""
+    cap = edge_cap()
     if h.graph.edge_count * g.graph.edge_count > cap:
         raise CapExceeded(
             f"product would have {h.graph.edge_count * g.graph.edge_count} edges, cap {cap}")
@@ -187,11 +187,12 @@ class SlashPower:
         return (vid,)
 
 
-def slash_power(mg: MeasuredGraph, n: int, cap: Optional[int] = None) -> SlashPower:
-    """The n-th slash power of a measured normalized geodesic s-t graph."""
+def slash_power(mg: MeasuredGraph, n: int) -> SlashPower:
+    """The n-th slash power of a measured normalized geodesic s-t graph,
+    refused when it would have more than edge_cap() edges."""
     if n < 1:
         raise InputError("power must be at least 1")
-    cap = edge_cap() if cap is None else cap
+    cap = edge_cap()
     e = mg.graph.edge_count
     # e**n is never built: cap.bit_length() + 1 factors e >= 2 already pass
     # the cap.  Every level holds an edge, so n > cap is refused as well.
@@ -290,15 +291,15 @@ def lift_cycle(power: SlashPower, level: int, cycle: Sequence[int],
     return _lift(power, level, cycle, choices, closed=True)
 
 
-def associativity_isomorphism_check(mg: MeasuredGraph,
-                                    cap: Optional[int] = None) -> bool:
+def associativity_isomorphism_check(mg: MeasuredGraph) -> bool:
     """Exact check that (G/G)/G and G/(G/G) agree.
 
     Matches edges by their base-edge triples, derives the vertex bijection
     from edge endpoints, and then asserts it is a graph isomorphism, a metric
-    isometry, and measure preserving.
+    isometry, and measure preserving.  Refused when the cube would have more
+    than edge_cap() edges.
     """
-    cap = edge_cap() if cap is None else cap
+    cap = edge_cap()
     e = mg.graph.edge_count
     if e ** 3 > cap:
         raise CapExceeded(f"cube would have {e ** 3} edges, cap {cap}")
@@ -307,11 +308,10 @@ def associativity_isomorphism_check(mg: MeasuredGraph,
     def name(ei: int, v: int) -> str:
         return f"{ei}:{mg.graph.names[v]}"
 
-    inner_a, _ = _raw_product(mg, mg, name)
-    left, _ = _raw_product(inner_a, mg, lambda ei, v: f"L{ei}:{mg.graph.names[v]}")
-    inner_b, _ = _raw_product(mg, mg, name)
-    right, _ = _raw_product(mg, inner_b,
-                            lambda ei, v: f"R{ei}:{inner_b.graph.names[v]}")
+    inner, _ = _raw_product(mg, mg, name)
+    left, _ = _raw_product(inner, mg, lambda ei, v: f"L{ei}:{mg.graph.names[v]}")
+    right, _ = _raw_product(mg, inner,
+                            lambda ei, v: f"R{ei}:{inner.graph.names[v]}")
 
     # _raw_product orders edges h-edge-major, so on both sides edge i
     # substitutes the base edges given by the base-e digits of i.

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .constructions import LaaksoParams, MeasuredGraph, cycle_st_graph, uniform_laakso
 from .core import cycle_edge_indices
@@ -37,6 +37,10 @@ from .slash import slash_power
 HALF = Fraction(1, 2)
 
 SUITE_BASES: tuple[tuple[int, int, int, int], ...] = ((0, 2, 2, 0), (1, 2, 2, 1))
+SUITE_POWERS: tuple[int, ...] = (1, 2)  # slash powers of the cor42, prop41, thm41 rows
+COR42_SELECTORS = 50  # seeded random selectors per cor42 row
+LEMMA31_SIZES: tuple[int, ...] = (4, 5, 6)  # unit cycle sizes of the lemma31 rows
+THM41_SEEDS = 100  # seeded dominating trees per thm41 row
 
 
 @dataclass(frozen=True)
@@ -56,18 +60,17 @@ class SuiteReport:
         return all(r.passed for r in self.rows)
 
 
-def selector_identity_suite(selectors: int = 50,
-                            powers: Sequence[int] = (1, 2)) -> SuiteReport:
+def selector_identity_suite() -> SuiteReport:
     """Random eligible selectors all produce the exact sum 1/2."""
     rows: list[SuiteRow] = []
     for params in SUITE_BASES:
         mg = uniform_laakso(params)
-        for n in powers:
+        for n in SUITE_POWERS:
             power = slash_power(mg, n)
             cycles = enumerate_max_cycles(power)
             g = power.graph.graph
             good = 0
-            for seed in range(selectors):
+            for seed in range(COR42_SELECTORS):
                 rng = random.Random(seed)
 
                 def pick(c, _rng=rng):
@@ -77,13 +80,13 @@ def selector_identity_suite(selectors: int = 50,
                 if selector_identity_sum(power, pick, cycles=cycles) == HALF:
                     good += 1
             rows.append(SuiteRow(
-                label=f"base {params} n={n}: {selectors} seeded selectors",
-                value=f"{good}/{selectors} sums equal 1/2",
-                passed=good == selectors))
+                label=f"base {params} n={n}: {COR42_SELECTORS} seeded selectors",
+                value=f"{good}/{COR42_SELECTORS} sums equal 1/2",
+                passed=good == COR42_SELECTORS))
     return SuiteReport(suite="cor42", rows=tuple(rows))
 
 
-def cycle_count_suite(powers: Sequence[int] = (1, 2)) -> SuiteReport:
+def cycle_count_suite() -> SuiteReport:
     """Closed-form cycle counts equal exhaustive enumeration, including the
     per-edge counts for every edge label, and the three reference per-edge
     values for the (1,2,2,1) base at n=2."""
@@ -91,7 +94,7 @@ def cycle_count_suite(powers: Sequence[int] = (1, 2)) -> SuiteReport:
     for params in SUITE_BASES:
         mg = uniform_laakso(params)
         p = LaaksoParams(*params)
-        for n in powers:
+        for n in SUITE_POWERS:
             power = slash_power(mg, n)
             base = LaaksoBase.from_measured(mg)
             cycles = enumerate_max_cycles(power)
@@ -142,11 +145,11 @@ def unit_cycle_measured(n: int) -> MeasuredGraph:
     return MeasuredGraph(graph=g, nu=tuple(Fraction(1, n) for _ in range(n)))
 
 
-def cycle_witness_suite(sizes: Sequence[int] = (4, 5, 6)) -> SuiteReport:
+def cycle_witness_suite() -> SuiteReport:
     """Every labeled tree topology with exact optimal expansive weights
     stretches some cycle edge to at least (c0 - d(e)) / 8."""
     rows: list[SuiteRow] = []
-    for n in sizes:
+    for n in LEMMA31_SIZES:
         mg = unit_cycle_measured(n)
         metric = mg.graph.metric
         tmap = identity_tree_map(n)
@@ -165,8 +168,7 @@ def cycle_witness_suite(sizes: Sequence[int] = (4, 5, 6)) -> SuiteReport:
     return SuiteReport(suite="lemma31", rows=tuple(rows))
 
 
-def truncated_bound_suite(seeds: int = 100,
-                          powers: Sequence[int] = (1, 2)) -> SuiteReport:
+def truncated_bound_suite() -> SuiteReport:
     """Expected truncated stretch of expansive trees into powers of the
     standard diamond stays above (3/128) c0 n, and every maximal cycle keeps
     a (3/32) c0 stretched edge; checked for the oracle-optimal tree at n=1
@@ -182,20 +184,20 @@ def truncated_bound_suite(seeds: int = 100,
         value=f"{res.value} >= {res.bound}",
         passed=res.holds))
 
-    for n in powers:
+    for n in SUITE_POWERS:
         power = slash_power(mg, n)
         metric = power.metric
         cycles = enumerate_max_cycles(power)
         good = 0
-        for seed in range(seeds):
+        for seed in range(THM41_SEEDS):
             tree, tmap = frt_tree(metric, random.Random(seed))
             res = truncated_distortion_bound(power, tree, tmap, cycles=cycles)
             if res.holds:
                 good += 1
         rows.append(SuiteRow(
-            label=f"diamond n={n}: {seeds} seeded dominating trees",
-            value=f"{good}/{seeds} above (3/128) c0 n with cycle witnesses",
-            passed=good == seeds))
+            label=f"diamond n={n}: {THM41_SEEDS} seeded dominating trees",
+            value=f"{good}/{THM41_SEEDS} above (3/128) c0 n with cycle witnesses",
+            passed=good == THM41_SEEDS))
     return SuiteReport(suite="thm41", rows=tuple(rows))
 
 

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -6,3 +7,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")
+
+
+@pytest.fixture(autouse=True)
+def default_caps(monkeypatch):
+    """Every test starts from the default size caps, whatever the shell
+    exports; a test that needs a cap sets it with monkeypatch.setenv."""
+    monkeypatch.delenv("SLASHPOW_MAX_EDGES", raising=False)
+    monkeypatch.delenv("SLASHPOW_MAX_PATHS", raising=False)

@@ -43,7 +43,7 @@ def _report(number: int, budget: float, elapsed: float, detail: str) -> None:
 
 def test_criterion_1_selector_identity():
     t0 = time.monotonic()
-    report = selector_identity_suite(selectors=50, powers=(1, 2))
+    report = selector_identity_suite()
     assert report.ok
     _report(1, 10.0, time.monotonic() - t0,
             "selector sums equal 1/2 exactly for 50 seeded selectors on both "
@@ -52,7 +52,7 @@ def test_criterion_1_selector_identity():
 
 def test_criterion_2_cycle_counts():
     t0 = time.monotonic()
-    report = cycle_count_suite(powers=(1, 2))
+    report = cycle_count_suite()
     assert report.ok
     _report(2, 30.0, time.monotonic() - t0,
             "closed-form counts equal exhaustive enumeration (n<=2, both "
@@ -61,7 +61,7 @@ def test_criterion_2_cycle_counts():
 
 def test_criterion_3_cycle_witnesses():
     t0 = time.monotonic()
-    report = cycle_witness_suite(sizes=(4, 5, 6))
+    report = cycle_witness_suite()
     assert report.ok
     _report(3, 300.0, time.monotonic() - t0,
             "every labeled tree topology on unit 4/5/6-cycles with exact "
@@ -70,7 +70,7 @@ def test_criterion_3_cycle_witnesses():
 
 def test_criterion_4_truncated_bound():
     t0 = time.monotonic()
-    report = truncated_bound_suite(seeds=100, powers=(1, 2))
+    report = truncated_bound_suite()
     assert report.ok
     _report(4, 300.0, time.monotonic() - t0,
             "truncated expected stretch >= (3/128) c0 n for the oracle tree "

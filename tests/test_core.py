@@ -208,10 +208,11 @@ def test_enumerate_st_paths():
     assert paths == tuple(sorted(paths))
 
 
-def test_enumerate_st_paths_cap_names_count():
+def test_enumerate_st_paths_cap_names_count(monkeypatch):
     g = diamond().graph
+    monkeypatch.setenv("SLASHPOW_MAX_PATHS", "1")
     with pytest.raises(CapExceeded) as err:
-        enumerate_st_paths(g, cap=1)
+        enumerate_st_paths(g)
     assert "2" in str(err.value)
 
 

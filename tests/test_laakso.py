@@ -287,6 +287,33 @@ def test_find_balanced_on_balanced_input():
     assert w.subgraph.graph.edge_count == mg.graph.edge_count
 
 
+@pytest.mark.parametrize("cap,message", [
+    ("3", "power 2 of a 6-edge base exceeds the edge cap 3"),
+    ("100", "power 3 of a 12-edge base exceeds the edge cap 100"),
+])
+def test_pipeline_obeys_edge_cap(monkeypatch, cap, message):
+    mg = uniform_laakso((0, 2, 4, 0))
+    monkeypatch.setenv("SLASHPOW_MAX_EDGES", cap)
+    with pytest.raises(CapExceeded) as err:
+        balanced_laakso_pipeline(mg)
+    assert str(err.value) == message
+
+
+def test_pipeline_obeys_path_cap(monkeypatch):
+    monkeypatch.setenv("SLASHPOW_MAX_PATHS", "1")
+    with pytest.raises(CapExceeded) as err:
+        balanced_laakso_pipeline(uniform_laakso((0, 2, 4, 0)))
+    assert str(err.value) == "more than 1 s-t paths"
+
+
+def test_find_balanced_obeys_edge_cap(monkeypatch):
+    mg = uniform_laakso((0, 2, 4, 0))
+    monkeypatch.setenv("SLASHPOW_MAX_EDGES", "20")
+    with pytest.raises(CapExceeded) as err:
+        find_balanced_laakso(mg)
+    assert str(err.value) == "power 3 of a 6-edge base exceeds the edge cap 20"
+
+
 def test_pipeline_diamond():
     r = balanced_laakso_pipeline(diamond())
     assert r.n == 1

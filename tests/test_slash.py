@@ -119,9 +119,10 @@ def test_power_st_paths_have_unit_length():
         assert path_length(g, p) == 1
 
 
-def test_power_cap():
+def test_power_cap(monkeypatch):
+    monkeypatch.setenv("SLASHPOW_MAX_EDGES", "100")
     with pytest.raises(CapExceeded):
-        slash_power(diamond(), 4, cap=100)
+        slash_power(diamond(), 4)
 
 
 def test_copy_scaling():
