@@ -115,8 +115,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
     mg = _need_measured(_load_graph(args.base))
     power = slash_power(mg, args.n)
     doc = ser.measured_to_dict(power.graph)
-    doc["edge_labels"] = ["/".join(str(e) for e in power.edge_label(i))
-                          for i in range(power.graph.graph.edge_count)]
+    doc["edge_labels"] = power.label_strings()
     _write_text(args.out, json.dumps(doc, indent=2))
     return EXIT_OK
 

@@ -199,6 +199,27 @@ class StGraph:
         """All-pairs distances, computed once per graph."""
         return geodesic_metric(self)
 
+    @cached_property
+    def topo_order(self) -> Optional[tuple[int, ...]]:
+        """Topological order of the orientation, or None if it has a
+        directed cycle; computed once per graph."""
+        indeg = [0] * self.vertex_count
+        for _, v in self.edges:
+            indeg[v] += 1
+        ready = sorted(u for u in range(self.vertex_count) if indeg[u] == 0)
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            u = heapq.heappop(ready)
+            order.append(u)
+            for v, _ in self.out_adj[u]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    heapq.heappush(ready, v)
+        if len(order) != self.vertex_count:
+            return None
+        return tuple(order)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -231,26 +252,6 @@ def _reach(adj: Sequence[Sequence[tuple[int, int]]], start: int) -> set[int]:
 
 def is_connected(g: StGraph) -> bool:
     return g.vertex_count == 0 or len(_reach(g.und_adj, 0)) == g.vertex_count
-
-
-def topological_order(g: StGraph) -> Optional[tuple[int, ...]]:
-    """Topological order of the orientation, or None if it has a directed cycle."""
-    indeg = [0] * g.vertex_count
-    for _, v in g.edges:
-        indeg[v] += 1
-    ready = sorted(u for u in range(g.vertex_count) if indeg[u] == 0)
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v, _ in g.out_adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != g.vertex_count:
-        return None
-    return tuple(order)
 
 
 def _simple_st_path_through(g: StGraph, eidx: int) -> bool:
@@ -300,7 +301,7 @@ def validate_st_graph(g: StGraph) -> ValidationReport:
     Passes overall iff the graph is connected and every edge does.
     """
     connected = is_connected(g)
-    if topological_order(g) is not None:
+    if g.topo_order is not None:
         # In a DAG, s->u and v->t reachability suffices: the two paths cannot
         # share a vertex without creating a directed cycle.
         fwd = _reach(g.out_adj, g.s)
@@ -460,11 +461,15 @@ def enumerate_st_paths(g: StGraph) -> tuple[PathSeq, ...]:
     exist.
     """
     cap = path_cap()
-    if topological_order(g) is not None:
+    if g.topo_order is not None:
         # Exact count first so the error can name it.
-        count = _count_dag_st_paths(g)
-        if count > cap:
-            raise CapExceeded(f"{count} s-t paths exceed cap {cap}")
+        count = [0] * g.vertex_count
+        count[g.s] = 1
+        for u in g.topo_order:
+            for v, _ in g.out_adj[u]:
+                count[v] += count[u]
+        if count[g.t] > cap:
+            raise CapExceeded(f"{count[g.t]} s-t paths exceed cap {cap}")
     out: list[PathSeq] = []
     stack: list[tuple[int, tuple[int, ...]]] = [(g.s, (g.s,))]
     # Manual DFS keeps lexicographic order: push neighbors descending.
@@ -481,28 +486,15 @@ def enumerate_st_paths(g: StGraph) -> tuple[PathSeq, ...]:
     return tuple(out)
 
 
-def _count_dag_st_paths(g: StGraph) -> int:
-    order = topological_order(g)
-    assert order is not None
-    count = [0] * g.vertex_count
-    count[g.s] = 1
-    for u in order:
-        if count[u]:
-            for v, _ in g.out_adj[u]:
-                count[v] += count[u]
-    return count[g.t]
-
-
 def st_path_length_range(g: StGraph) -> tuple[Fraction, Fraction]:
     """(min, max) metric length over all directed s-t paths; raises
     NotGeodesicStGraph when the graph fails validate_st_graph."""
     if not validate_st_graph(g).ok:
         raise NotGeodesicStGraph("graph fails s-t validation")
-    order = topological_order(g)
-    if order is not None:
+    if g.topo_order is not None:
         lo: dict[int, Fraction] = {g.s: Fraction(0)}
         hi: dict[int, Fraction] = {g.s: Fraction(0)}
-        for u in order:
+        for u in g.topo_order:
             if u not in lo:
                 continue
             for v, ei in g.out_adj[u]:

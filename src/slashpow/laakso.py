@@ -478,7 +478,7 @@ def _transport_segments(power: SlashPower, pw2: SlashPower,
             flat: list[int] = []
             for sub_edge in label:
                 flat.extend(pw2.edge_label(extraction.parent_edges[sub_edge]))
-            final_ei = power.edge_by_label[tuple(flat)]
+            final_ei = power.edge_index(flat)
             x, y = final_g.edges[final_ei]
             if x == cursor:
                 cursor = y

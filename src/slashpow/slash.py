@@ -65,20 +65,19 @@ def _scaled_rows(scales: Sequence[Fraction], values: Sequence[Fraction]
 
 
 def _substitute(h: StGraph, replaced: Sequence[int], g: StGraph,
-                interior_name: Callable[[int, int], str]
-                ) -> tuple[StGraph, tuple[tuple[int, ...], ...]]:
+                interior_name: Callable[[int, int], str]) -> StGraph:
     """Replace each listed edge of h by a copy of the s-t graph g, with s and
     t at the edge's tail and head and weights scaled by the edge's weight.
 
-    Kept edges come first, then each copy's edges in g's order.  Returns the
-    graph and, per listed edge ei, the map from g's vertex ids to the copy's,
-    whose interior vertex v is named interior_name(ei, v)."""
+    Kept edges come first, then each copy's edges in g's order.  The copies'
+    interior vertices follow h's vertices, in g's order, one copy after the
+    other; interior vertex v of the copy of edge ei is named
+    interior_name(ei, v)."""
     names = list(h.names)
     gone = set(replaced)
     edges = [e for i, e in enumerate(h.edges) if i not in gone]
     weights = [w for i, w in enumerate(h.weights) if i not in gone]
     interiors = _interiors(g)
-    tables: list[tuple[int, ...]] = []
     rows = _scaled_rows([h.weights[ei] for ei in replaced], g.weights)
     for ei, row in zip(replaced, rows):
         table = [0] * g.vertex_count
@@ -88,24 +87,16 @@ def _substitute(h: StGraph, replaced: Sequence[int], g: StGraph,
             names.append(interior_name(ei, v))
         edges.extend((table[u], table[v]) for u, v in g.edges)
         weights.extend(row)
-        tables.append(tuple(table))
-    graph = StGraph(names=_uniquify(names), edges=tuple(edges),
-                    weights=tuple(weights), s=h.s, t=h.t)
-    return graph, tuple(tables)
+    return StGraph(names=_uniquify(names), edges=tuple(edges),
+                   weights=tuple(weights), s=h.s, t=h.t)
 
 
 def _raw_product(h: MeasuredGraph, g: MeasuredGraph,
-                 interior_name: Callable[[int, int], str]
-                 ) -> tuple[MeasuredGraph, tuple[tuple[int, ...], ...]]:
-    """Product without input validation.
-
-    Returns the measured product and, per h-edge, the map from base vertex id
-    to product vertex id (copy boundaries resolve to the h-edge endpoints).
-    """
-    graph, copy_vertices = _substitute(h.graph, range(h.graph.edge_count),
-                                       g.graph, interior_name)
+                 interior_name: Callable[[int, int], str]) -> MeasuredGraph:
+    """Product without input validation."""
+    graph = _substitute(h.graph, range(h.graph.edge_count), g.graph, interior_name)
     nu = tuple(itertools.chain.from_iterable(_scaled_rows(h.nu, g.nu)))
-    return MeasuredGraph(graph=graph, nu=nu), copy_vertices
+    return MeasuredGraph(graph=graph, nu=nu)
 
 
 def _require_normalized(mg: MeasuredGraph, role: str) -> None:
@@ -122,23 +113,61 @@ def slash_product(h: MeasuredGraph, g: MeasuredGraph) -> MeasuredGraph:
             f"product would have {h.graph.edge_count * g.graph.edge_count} edges, cap {cap}")
     _require_normalized(h, "left")
     _require_normalized(g, "right")
-    product, _ = _raw_product(h, g, lambda ei, v: f"{ei}:{g.graph.names[v]}")
-    return product
+    return _raw_product(h, g, lambda ei, v: f"{ei}:{g.graph.names[v]}")
+
+
+class _Layout:
+    """Addresses in the powers of one base graph, as _substitute lays them
+    out: edge i of level k is edge i % e of the copy that replaced edge
+    i // e of level k-1, so its label is the k base-e digits of i, and the
+    vertices new at level k follow level k-1's, one block of the base's
+    interior vertices per replaced edge.  Arguments are not checked."""
+
+    def __init__(self, base: StGraph):
+        self.base, self.e, self.interiors = base, base.edge_count, _interiors(base)
+        self._strings: dict[int, list[str]] = {}
+
+    def label(self, eidx: int, level: int) -> EdgeLabel:
+        return tuple(eidx // self.e ** j % self.e for j in range(level - 1, -1, -1))
+
+    def index(self, label: Sequence[int]) -> int:
+        return sum(d * self.e ** j for j, d in enumerate(reversed(label)))
+
+    def label_strings(self, level: int) -> list[str]:
+        """The slash-joined label of every edge of `level`, built on first use."""
+        if level not in self._strings:
+            self._strings[level] = ["/".join(p) for p in itertools.product(
+                map(str, range(self.e)), repeat=level)]
+        return self._strings[level]
+
+    def copy_vertex(self, prev: StGraph, prev_edge: int, v: int) -> int:
+        """Vertex at base vertex v of the copy of edge prev_edge of the level
+        graph prev, numbered in the next level."""
+        if v in (self.base.s, self.base.t):
+            return prev.edges[prev_edge][0 if v == self.base.s else 1]
+        return prev.vertex_count + prev_edge * len(self.interiors) + self.interiors.index(v)
+
+    def copy_address(self, prev: StGraph, vid: int) -> tuple[int, int]:
+        """(prev_edge, base vertex) of a vertex vid new after the level graph prev."""
+        prev_edge, rank = divmod(vid - prev.vertex_count, len(self.interiors))
+        return prev_edge, self.interiors[rank]
+
+
+def _require_index(what: str, i: int, count: int) -> None:
+    if not (0 <= i < count):
+        raise InputError(f"{what} {i} out of range 0..{count - 1}")
 
 
 @dataclass(frozen=True)
 class SlashLevel:
-    """One power of the tower.  ``copy_vertices[prev_edge][base_vertex]`` maps
-    into this level; it is None at level 1."""
+    """One power of the tower."""
 
     measured: MeasuredGraph
-    edge_labels: tuple[EdgeLabel, ...]
-    copy_vertices: Optional[tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
 class SlashPower:
-    """Materialized slash power with label bookkeeping for every level."""
+    """Materialized slash power: only the level graphs are stored (_Layout)."""
 
     base: MeasuredGraph
     n: int
@@ -152,38 +181,51 @@ class SlashPower:
     def metric(self) -> GeodesicMetric:
         return self.graph.graph.metric
 
+    @cached_property
+    def _layout(self) -> _Layout:
+        return _Layout(self.base.graph)
+
     def level_graph(self, level: int) -> MeasuredGraph:
+        if not (1 <= level <= self.n):
+            raise InputError(f"level {level} out of range 1..{self.n}")
         return self.levels[level - 1].measured
 
     def edge_label(self, eidx: int, level: Optional[int] = None) -> EdgeLabel:
         lv = self.n if level is None else level
-        return self.levels[lv - 1].edge_labels[eidx]
+        _require_index("edge", eidx, self.level_graph(lv).graph.edge_count)
+        return self._layout.label(eidx, lv)
 
-    @cached_property
-    def edge_by_label(self) -> dict[EdgeLabel, int]:
-        return {lab: i for i, lab in enumerate(self.levels[-1].edge_labels)}
+    def edge_index(self, label: Sequence[int]) -> int:
+        """The edge of level len(label) with this label."""
+        self.level_graph(len(label))
+        for d in label:
+            _require_index("edge coordinate", d, self.base.graph.edge_count)
+        return self._layout.index(label)
+
+    def label_strings(self) -> list[str]:
+        """The slash-joined label of every edge, in edge order."""
+        return self._layout.label_strings(self.n)
 
     def resolve_vertex(self, level: int, prev_edge: int, base_vertex: int) -> int:
         """Vertex of `level` sitting at `base_vertex` inside the copy that
         replaced edge `prev_edge` of the previous level."""
-        table = self.levels[level - 1].copy_vertices
-        if table is None:
-            raise InputError("level 1 has no copies")
-        return table[prev_edge][base_vertex]
+        if not (2 <= level <= self.n):
+            raise InputError(f"level {level} has no copies in a power of {self.n}")
+        prev = self.level_graph(level - 1).graph
+        _require_index("edge", prev_edge, prev.edge_count)
+        _require_index("base vertex", base_vertex, self.base.graph.vertex_count)
+        return self._layout.copy_vertex(prev, prev_edge, base_vertex)
 
     def vertex_label(self, vid: int, level: Optional[int] = None) -> VertexLabel:
         """Canonical label: the shortest (lexicographically least) address."""
         lv = self.n if level is None else level
-        base_g = self.base.graph
-        interiors = _interiors(base_g)
+        _require_index("vertex", vid, self.level_graph(lv).graph.vertex_count)
         while lv > 1:
-            prev_count = self.level_graph(lv - 1).graph.vertex_count
-            if vid < prev_count:
-                lv -= 1
-                continue
-            offset = vid - prev_count
-            prev_edge, rank = divmod(offset, len(interiors))
-            return self.edge_label(prev_edge, lv - 1) + (interiors[rank],)
+            prev = self.level_graph(lv - 1).graph
+            if vid >= prev.vertex_count:
+                prev_edge, v = self._layout.copy_address(prev, vid)
+                return self._layout.label(prev_edge, lv - 1) + (v,)
+            lv -= 1
         return (vid,)
 
 
@@ -200,25 +242,12 @@ def slash_power(mg: MeasuredGraph, n: int) -> SlashPower:
         raise CapExceeded(f"power {n} of a {e}-edge base exceeds the edge cap {cap}")
     _require_normalized(mg, "base")
 
-    base_names = mg.graph.names
-    levels = [SlashLevel(
-        measured=mg,
-        edge_labels=tuple((i,) for i in range(mg.graph.edge_count)),
-        copy_vertices=None,
-    )]
-    for _ in range(1, n):
-        prev = levels[-1]
-
-        def interior_name(ei: int, v: int, _prev=prev) -> str:
-            label = "/".join(str(e) for e in _prev.edge_labels[ei])
-            return f"{label}:{base_names[v]}"
-
-        measured, copies = _raw_product(prev.measured, mg, interior_name)
-        labels = tuple(prev.edge_labels[ei] + (fi,)
-                       for ei in range(prev.measured.graph.edge_count)
-                       for fi in range(mg.graph.edge_count))
-        levels.append(SlashLevel(measured=measured, edge_labels=labels,
-                                 copy_vertices=copies))
+    layout = _Layout(mg.graph)
+    levels = [SlashLevel(measured=mg)]
+    for k in range(1, n):
+        levels.append(SlashLevel(measured=_raw_product(
+            levels[-1].measured, mg,
+            lambda ei, v, k=k: f"{layout.label_strings(k)[ei]}:{mg.graph.names[v]}")))
     return SlashPower(base=mg, n=n, levels=tuple(levels))
 
 
@@ -230,7 +259,7 @@ def replace_edge(h: StGraph, eidx: int, g: StGraph) -> StGraph:
     """
     if not (0 <= eidx < h.edge_count):
         raise InputError(f"edge {eidx} out of range")
-    return _substitute(h, [eidx], g, lambda _, v: f"r{eidx}:{g.names[v]}")[0]
+    return _substitute(h, [eidx], g, lambda _, v: f"r{eidx}:{g.names[v]}")
 
 
 def _require_base_st_path(base: StGraph, p: Sequence[int]) -> None:
@@ -268,7 +297,7 @@ def _lift(power: SlashPower, level: int, walk: Sequence[int],
         forward = src.edges[ei] == (a, b)
         inner = choice[1:-1] if forward else tuple(reversed(choice))[1:-1]
         for v in inner:
-            out.append(power.resolve_vertex(level + 1, ei, v))
+            out.append(power._layout.copy_vertex(src, ei, v))
         out.append(b)
     if closed:
         out.pop()
@@ -305,16 +334,12 @@ def associativity_isomorphism_check(mg: MeasuredGraph) -> bool:
         raise CapExceeded(f"cube would have {e ** 3} edges, cap {cap}")
     _require_normalized(mg, "base")
 
-    def name(ei: int, v: int) -> str:
-        return f"{ei}:{mg.graph.names[v]}"
+    inner = _raw_product(mg, mg, lambda ei, v: f"{ei}:{mg.graph.names[v]}")
+    left = _raw_product(inner, mg, lambda ei, v: f"L{ei}:{mg.graph.names[v]}")
+    right = _raw_product(mg, inner, lambda ei, v: f"R{ei}:{inner.graph.names[v]}")
 
-    inner, _ = _raw_product(mg, mg, name)
-    left, _ = _raw_product(inner, mg, lambda ei, v: f"L{ei}:{mg.graph.names[v]}")
-    right, _ = _raw_product(mg, inner,
-                            lambda ei, v: f"R{ei}:{inner.graph.names[v]}")
-
-    # _raw_product orders edges h-edge-major, so on both sides edge i
-    # substitutes the base edges given by the base-e digits of i.
+    # By _Layout, edge i of either side substitutes the base edges given by
+    # the three base-e digits of i.
     phi: dict[int, int] = {}
     for i in range(left.graph.edge_count):
         if left.graph.weights[i] != right.graph.weights[i]:

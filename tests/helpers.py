@@ -2,7 +2,12 @@
 
 from fractions import Fraction as F
 
-from slashpow.constructions import MeasuredGraph, cycle_st_graph, uniform_laakso
+from slashpow.constructions import (
+    MeasuredGraph,
+    build_laakso,
+    cycle_st_graph,
+    uniform_laakso,
+)
 from slashpow.core import StGraph
 from slashpow.verify import unit_cycle_measured  # noqa: F401  (shared fixture)
 
@@ -17,6 +22,11 @@ def laakso1221() -> MeasuredGraph:
 
 def laakso0230() -> MeasuredGraph:
     return uniform_laakso((0, 2, 3, 0))
+
+
+def weighted0230() -> MeasuredGraph:
+    return build_laakso((0, 2, 3, 0), (), (F(1, 3), F(2, 3)),
+                        (F(1, 4), F(1, 4), F(1, 2)), ())
 
 
 def unit_cycle(n: int) -> StGraph:
@@ -46,3 +56,34 @@ def all_pairs(n: int):
     for u in range(n):
         for v in range(u + 1, n):
             yield u, v
+
+
+def reference_layout(base: MeasuredGraph, n: int) -> list:
+    """Slow reference for the addresses in the power slash_power(base, n),
+    stored level by level and built by concatenation.
+
+    Per level: the edges, each edge's label (its parent edge's label plus
+    its base edge), the copy tables (per previous-level edge, base vertex ->
+    vertex of this level; None at level 1) and each vertex's shortest label
+    (its copy's edge label plus its base vertex)."""
+    g = base.graph
+    edges = list(g.edges)
+    labels = [(i,) for i in range(g.edge_count)]
+    vertex_labels = [(v,) for v in range(g.vertex_count)]
+    levels = [(edges, labels, None, vertex_labels)]
+    for _ in range(1, n):
+        next_edges, next_labels, tables = [], [], []
+        vertex_labels = list(vertex_labels)
+        for ei, (a, b) in enumerate(edges):
+            table = {g.s: a, g.t: b}
+            for v in range(g.vertex_count):
+                if v not in table:
+                    table[v] = len(vertex_labels)
+                    vertex_labels.append(labels[ei] + (v,))
+            tables.append(tuple(table[v] for v in range(g.vertex_count)))
+            for fi, (u, v) in enumerate(g.edges):
+                next_edges.append((table[u], table[v]))
+                next_labels.append(labels[ei] + (fi,))
+        edges, labels = next_edges, next_labels
+        levels.append((edges, labels, tables, vertex_labels))
+    return levels

@@ -118,6 +118,28 @@ def test_validation_runs_once(monkeypatch, check):
         assert len(calls) == 1
 
 
+def test_topological_sort_runs_once_per_graph(monkeypatch):
+    import slashpow.core as core
+
+    calls = []
+    sort = core.StGraph.__dict__["topo_order"]
+    real = sort.func
+    monkeypatch.setattr(sort, "func", lambda g: calls.append(g) or real(g))
+    checks = (enumerate_st_paths, st_path_length_range, validate_st_graph,
+              is_normalized_geodesic_st)
+    for g in (diamond().graph, laakso1221().graph, build_path([F(1)] * 3).graph):
+        for check in checks:
+            calls.clear()
+            fresh = StGraph(names=g.names, edges=g.edges, weights=g.weights,
+                            s=g.s, t=g.t)
+            check(fresh)
+            assert calls == [fresh]
+        calls.clear()
+        for check in checks * 2:
+            check(g)
+        assert calls == [g]
+
+
 def test_metric_axioms_all_fixtures():
     import slashpow
 

@@ -22,6 +22,20 @@ WEIGHTED_POWERS = (
 )
 PIPELINE_0240 = "b938670ba1b3bc5bc42dc2f6903cd71aa2d7eccab8b581925378af4b5927e11d"
 
+# Three parallel two-edge branches whose vertex names collide with the names
+# the power generates for copy interiors: "0:a" and "1:a" at level 2, t's
+# "0/0:a" at level 3, and s's "0:a~" with the first renaming of "0:a".
+COLLIDING_BASE = """{"vertices": ["0:a~", "a", "0:a", "1:a", "0/0:a"],
+ "edges": [["0:a~", "a", "1/2"], ["a", "0/0:a", "1/2"],
+           ["0:a~", "0:a", "1/2"], ["0:a", "0/0:a", "1/2"],
+           ["0:a~", "1:a", "1/2"], ["1:a", "0/0:a", "1/2"]],
+ "s": "0:a~", "t": "0/0:a",
+ "orientation": [["0:a~", "a"], ["a", "0/0:a"], ["0:a~", "0:a"],
+                 ["0:a", "0/0:a"], ["0:a~", "1:a"], ["1:a", "0/0:a"]],
+ "measure": ["1/6", "1/6", "1/6", "1/6", "1/6", "1/6"]}
+"""
+COLLIDING_POWER_3 = "5bf9ae0874b45bf3b6e781047deeef5dd88a62f8f95fbba6fad03338f2a24859"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -55,3 +69,14 @@ def test_pipeline_0240_is_byte_identical(tmp_path, monkeypatch):
                  "--out", "l.json"]) == EXIT_OK
     assert main(["pipeline", "--graph", "l.json", "--out", "r.json"]) == EXIT_OK
     assert _sha256((tmp_path / "r.json").read_bytes()) == PIPELINE_0240
+
+
+def test_colliding_names_power_is_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "base.json").write_text(COLLIDING_BASE)
+    assert main(["power", "--base", "base.json", "--n", "3",
+                 "--out", "p3.json"]) == EXIT_OK
+    data = (tmp_path / "p3.json").read_bytes()
+    names = json.loads(data)["vertices"]
+    assert [v for v in names if "~" in v] == ["0:a~", "0:a~~", "1:a~", "0/0:a~"]
+    assert _sha256(data) == COLLIDING_POWER_3

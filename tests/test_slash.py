@@ -1,10 +1,18 @@
 import itertools
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 import slashpow as sp
-from helpers import all_pairs, diamond, laakso1221, three_branch
+from helpers import (
+    all_pairs,
+    diamond,
+    laakso1221,
+    reference_layout,
+    three_branch,
+    weighted0230,
+)
 from slashpow.constructions import MeasuredGraph, build_path
 from slashpow.core import (
     enumerate_st_paths,
@@ -76,6 +84,85 @@ def test_power_level_one_is_base():
     pw = slash_power(d, 1)
     assert pw.graph is d
     assert pw.edge_label(2) == (2,)
+
+
+@pytest.mark.parametrize("make,n", [
+    (diamond, 3), (laakso1221, 2), (weighted0230, 3), (single_edge, 5)])
+def test_layout_matches_stored_reference(make, n):
+    base = make()
+    pw = slash_power(base, n)
+    nv = base.graph.vertex_count
+    for level, (edges, labels, tables, vertex_labels) in enumerate(
+            reference_layout(base, n), start=1):
+        g = pw.level_graph(level).graph
+        assert list(g.edges) == edges
+        assert [pw.edge_label(i, level) for i in range(g.edge_count)] == labels
+        assert [pw.edge_index(label) for label in labels] == list(range(len(labels)))
+        assert [pw.vertex_label(v, level) for v in range(g.vertex_count)] == vertex_labels
+        if tables is None:
+            with pytest.raises(InputError, match="level 1 has no copies"):
+                pw.resolve_vertex(level, 0, base.graph.s)
+        else:
+            assert [tuple(pw.resolve_vertex(level, ei, v) for v in range(nv))
+                    for ei in range(len(tables))] == tables
+    assert pw.label_strings() == ["/".join(map(str, lab)) for lab in labels]
+    assert [pw.edge_label(i) for i in range(len(labels))] == labels
+    assert [pw.vertex_label(v) for v in range(len(vertex_labels))] == vertex_labels
+
+
+def test_level_graph_refuses_out_of_range_levels():
+    pw = slash_power(diamond(), 2)
+    for level in (-1, 0, 3):
+        with pytest.raises(InputError, match=f"level {level} out of range 1..2"):
+            pw.level_graph(level)
+
+
+def test_resolve_vertex_refuses_out_of_range_addresses():
+    pw = slash_power(diamond(), 2)
+    for level in (-1, 0, 1, 3):
+        with pytest.raises(InputError, match=f"level {level} has no copies in a power of 2"):
+            pw.resolve_vertex(level, 0, 1)
+    for prev_edge in (-1, 4):
+        with pytest.raises(InputError, match=f"edge {prev_edge} out of range 0..3"):
+            pw.resolve_vertex(2, prev_edge, 1)
+    for v in (-1, 4):
+        with pytest.raises(InputError, match=f"base vertex {v} out of range 0..3"):
+            pw.resolve_vertex(2, 0, v)
+
+
+def test_edge_label_refuses_out_of_range_edges():
+    pw = slash_power(diamond(), 2)
+    for eidx, level in ((-1, None), (16, None), (-1, 1), (4, 1)):
+        with pytest.raises(InputError, match=f"edge {eidx} out of range"):
+            pw.edge_label(eidx, level)
+    with pytest.raises(InputError, match="level 3 out of range"):
+        pw.edge_label(0, 3)
+    for label in ((), (0, 0, 0), (4, 0), (0, -1)):
+        with pytest.raises(InputError, match="out of range"):
+            pw.edge_index(label)
+
+
+def test_vertex_label_refuses_out_of_range_vertices():
+    pw = slash_power(diamond(), 2)
+    for vid, level in ((-1, None), (12, None), (-1, 1), (4, 1)):
+        with pytest.raises(InputError, match=f"vertex {vid} out of range"):
+            pw.vertex_label(vid, level)
+    with pytest.raises(InputError, match="level 0 out of range"):
+        pw.vertex_label(0, 0)
+
+
+def test_one_edge_power_stores_no_labels():
+    # 3,000 one-edge level graphs take about 2 MB; a stored k-coordinate
+    # label per edge of level k would add 4.5 million entries (39 MB traced).
+    tracemalloc.start()
+    try:
+        pw = slash_power(single_edge(), 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pw.graph.graph.edge_count == 1
+    assert pw.edge_label(0) == (0,) * 3000
+    assert peak < 10_000_000
 
 
 def test_power_counts_and_measures():
