@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     CycleSeq,
@@ -255,30 +255,31 @@ def find_any_cycle(g: StGraph) -> Optional[CycleSeq]:
     Deterministic: neighbors are explored in ascending order from vertex 0.
     """
     visited: set[int] = set()
-
-    def dfs(u: int, par_edge: Optional[int], on_path: list[int]) -> Optional[CycleSeq]:
-        on_path.append(u)
-        for v, ei in g.und_adj[u]:
-            if ei == par_edge:
-                continue
-            if v in visited:
-                if v in on_path:
-                    return tuple(on_path[on_path.index(v):])
-                continue
-            visited.add(v)
-            found = dfs(v, ei, on_path)
-            if found is not None:
-                return found
-        on_path.pop()
-        return None
-
     for root in range(g.vertex_count):
         if root in visited:
             continue
         visited.add(root)
-        found = dfs(root, None, [])
-        if found is not None:
-            return found
+        on_path = [root]
+        # stack[i]: the neighbors of on_path[i] still to try, and the edge
+        # that entered on_path[i].
+        stack: list[tuple[Iterator[tuple[int, int]], Optional[int]]] = [
+            (iter(g.und_adj[root]), None)]
+        while stack:
+            neighbors, par_edge = stack[-1]
+            for v, ei in neighbors:
+                if ei == par_edge:
+                    continue
+                if v in visited:
+                    # Every non-tree edge of an undirected DFS leads back to
+                    # a vertex on the current path.
+                    return tuple(on_path[on_path.index(v):])
+                visited.add(v)
+                on_path.append(v)
+                stack.append((iter(g.und_adj[v]), ei))
+                break
+            else:
+                stack.pop()
+                on_path.pop()
     return None
 
 

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     CapExceeded,
@@ -250,49 +250,37 @@ def _reach(adj: Sequence[Sequence[tuple[int, int]]], start: int) -> set[int]:
     return seen
 
 
+def _simple_paths(adj: Sequence[Sequence[tuple[int, int]]], start: int,
+                  stop: int = -1, floor: int = -1) -> Iterator[list[int]]:
+    """Every simple path from start along the sorted (neighbor, edge) lists
+    adj, in lexicographic order, shortest prefix first.
+
+    A path ending at stop is not extended, and no vertex at or below floor
+    is entered.  Each yield is the one live path list, valid until the next
+    step: callers copy the paths they keep.  The search is iterative, so
+    its depth is not bounded by the interpreter's recursion limit.
+    """
+    path = [start]
+    on_path = [False] * len(adj)  # faster than a set in the inner loop
+    on_path[start] = True
+    # stack[i] iterates the neighbors of path[i] that are still to be tried.
+    stack = [iter(adj[start] if start != stop else ())]
+    yield path
+    while stack:
+        for v, _ in stack[-1]:
+            if v > floor and not on_path[v]:
+                path.append(v)
+                on_path[v] = True
+                yield path
+                stack.append(iter(adj[v] if v != stop else ()))
+                break
+        else:
+            stack.pop()
+            on_path[path.pop()] = False
+
+
 def is_connected(g: StGraph) -> bool:
     return g.vertex_count == 0 or len(_reach(g.und_adj, 0)) == g.vertex_count
-
-
-def _simple_st_path_through(g: StGraph, eidx: int) -> bool:
-    """Exhaustive check that edge eidx lies on a simple directed s-t path.
-
-    Only used when the orientation has a directed cycle, which cannot happen
-    for geodesic s-t graphs with positive weights; kept fully general for
-    arbitrary validation inputs.
-    """
-    u, v = g.edges[eidx]
-    target_first, target_second = u, v
-
-    def extend(w: int, used: set[int]) -> bool:
-        # Reached v's side: search v -> t avoiding `used`.
-        if w == g.t:
-            return True
-        for x, _ in g.out_adj[w]:
-            if x not in used:
-                used.add(x)
-                if extend(x, used):
-                    return True
-                used.remove(x)
-        return False
-
-    def to_u(w: int, used: set[int]) -> bool:
-        if w == target_first:
-            if target_second in used:
-                return False
-            used.add(target_second)
-            ok = extend(target_second, used)
-            used.remove(target_second)
-            return ok
-        for x, _ in g.out_adj[w]:
-            if x not in used:
-                used.add(x)
-                if to_u(x, used):
-                    return True
-                used.remove(x)
-        return False
-
-    return to_u(g.s, {g.s})
 
 
 def validate_st_graph(g: StGraph) -> ValidationReport:
@@ -308,7 +296,11 @@ def validate_st_graph(g: StGraph) -> ValidationReport:
         bwd = _reach(g.in_adj, g.t)
         flags = tuple(u in fwd and v in bwd for u, v in g.edges)
     else:
-        flags = tuple(_simple_st_path_through(g, i) for i in range(g.edge_count))
+        # A directed cycle: collect the edges of every simple s-t path.
+        on_path: set[tuple[int, int]] = set()
+        for p in enumerate_st_paths(g):
+            on_path.update(zip(p, p[1:]))
+        flags = tuple(e in on_path for e in g.edges)
     return ValidationReport(connected=connected, edge_on_st_path=flags)
 
 
@@ -471,18 +463,11 @@ def enumerate_st_paths(g: StGraph) -> tuple[PathSeq, ...]:
         if count[g.t] > cap:
             raise CapExceeded(f"{count[g.t]} s-t paths exceed cap {cap}")
     out: list[PathSeq] = []
-    stack: list[tuple[int, tuple[int, ...]]] = [(g.s, (g.s,))]
-    # Manual DFS keeps lexicographic order: push neighbors descending.
-    while stack:
-        u, path = stack.pop()
-        if u == g.t:
-            out.append(path)
+    for p in _simple_paths(g.out_adj, g.s, stop=g.t):
+        if p[-1] == g.t:
+            out.append(tuple(p))
             if len(out) > cap:
                 raise CapExceeded(f"more than {cap} s-t paths")
-            continue
-        for v, _ in reversed(g.out_adj[u]):
-            if v not in path:
-                stack.append((v, path + (v,)))
     return tuple(out)
 
 
@@ -506,10 +491,8 @@ def st_path_length_range(g: StGraph) -> tuple[Fraction, Fraction]:
         if g.t not in lo:
             raise NotGeodesicStGraph("t unreachable from s along the orientation")
         return lo[g.t], hi[g.t]
-    paths = enumerate_st_paths(g)
-    if not paths:
-        raise NotGeodesicStGraph("no directed s-t path")
-    lengths = [path_length(g, p) for p in paths]
+    # Validation passed, so some s-t path exists.
+    lengths = [path_length(g, p) for p in enumerate_st_paths(g)]
     return min(lengths), max(lengths)
 
 
@@ -526,29 +509,19 @@ def undirected_st_path_length_range(g: StGraph) -> tuple[Fraction, Fraction]:
     """(min, max) metric length over all simple s-t paths, orientation
     ignored.  Exponential in the worst case; capped by path_cap()."""
     cap = path_cap()
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
+    ids, weights = g.edge_ids, g.int_weights
     found = 0
-
-    def dfs(u: int, acc: Fraction, used: set[int]) -> None:
-        nonlocal lo, hi, found
-        if u == g.t:
+    lengths: set[int] = set()  # times weight_scale
+    for p in _simple_paths(g.und_adj, g.s, stop=g.t):
+        if p[-1] == g.t:
             found += 1
             if found > cap:
                 raise CapExceeded(f"more than {cap} s-t paths")
-            lo = acc if lo is None or acc < lo else lo
-            hi = acc if hi is None or acc > hi else hi
-            return
-        for v, ei in g.und_adj[u]:
-            if v not in used:
-                used.add(v)
-                dfs(v, acc + g.weights[ei], used)
-                used.remove(v)
-
-    dfs(g.s, Fraction(0), {g.s})
-    if lo is None or hi is None:
+            lengths.add(sum(weights[ids[pair]] for pair in zip(p, p[1:])))
+    if not lengths:
         raise DisconnectedGraph("no s-t path")
-    return lo, hi
+    scale = g.weight_scale
+    return Fraction(min(lengths), scale), Fraction(max(lengths), scale)
 
 
 def is_strictly_geodesic_st(g: StGraph) -> bool:
@@ -579,25 +552,13 @@ def normalize(g: StGraph) -> StGraph:
 
 
 def brute_force_distance(g: StGraph, u: int, v: int) -> Fraction:
-    """Minimum over all simple u-v paths, by exhaustive DFS (test oracle)."""
-    best: list[Optional[Fraction]] = [None]
-
-    def rec(w: int, acc: Fraction, used: set[int]) -> None:
-        if best[0] is not None and acc >= best[0]:
-            return
-        if w == v:
-            best[0] = acc
-            return
-        for x, ei in g.und_adj[w]:
-            if x not in used:
-                used.add(x)
-                rec(x, acc + g.weights[ei], used)
-                used.remove(x)
-
-    rec(u, Fraction(0), {u})
-    if best[0] is None:
+    """Minimum over all simple u-v paths, by exhaustive search on the
+    Fraction weights (test oracle, independent of Dijkstra)."""
+    best = min((path_length(g, p) for p in _simple_paths(g.und_adj, u, stop=v)
+                if p[-1] == v), default=None)
+    if best is None:
         raise DisconnectedGraph(f"no path from {u} to {v}")
-    return best[0]
+    return best
 
 
 def enumerate_cycles(g: StGraph) -> tuple[CycleSeq, ...]:
@@ -605,22 +566,12 @@ def enumerate_cycles(g: StGraph) -> tuple[CycleSeq, ...]:
     neighbor second.  Deterministic order; capped by path_cap()."""
     cap = path_cap()
     cycles: list[CycleSeq] = []
-
-    def search(start: int, path: list[int], used: set[int]) -> None:
-        u = path[-1]
-        for v, _ in g.und_adj[u]:
-            if v == start and len(path) >= 3:
-                if path[1] < path[-1]:  # canonical direction
-                    cycles.append(tuple(path))
-                    if len(cycles) > cap:
-                        raise CapExceeded(f"more than {cap} cycles")
-            elif v > start and v not in used:
-                used.add(v)
-                path.append(v)
-                search(start, path, used)
-                path.pop()
-                used.remove(v)
-
     for start in range(g.vertex_count):
-        search(start, [start], {start})
+        closing = {v for v, _ in g.und_adj[start]}
+        # Paths over vertices above start that end next to it close a cycle.
+        for p in _simple_paths(g.und_adj, start, floor=start):
+            if p[-1] in closing and len(p) >= 3 and p[1] < p[-1]:  # canonical
+                cycles.append(tuple(p))
+                if len(cycles) > cap:
+                    raise CapExceeded(f"more than {cap} cycles")
     return tuple(cycles)

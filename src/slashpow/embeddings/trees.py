@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from ..core import _reach
 from ..errors import InputError
 
 ZERO = Fraction(0)
@@ -38,16 +39,8 @@ class GeodesicTree:
                 raise InputError(f"bad tree edge ({u},{v})")
             if not isinstance(w, Fraction) or w <= 0:
                 raise InputError(f"tree edge ({u},{v}) has weight {w}")
-        # Connected with n-1 edges == acyclic.
-        seen = {0} if n else set()
-        stack = [0] if n else []
-        while stack:
-            x = stack.pop()
-            for y, _ in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != n:
+        # Connected with n-1 edges == acyclic; n >= 1 here.
+        if len(_reach(self.adj, 0)) != n:
             raise InputError("tree edges do not connect all vertices")
 
     @property

@@ -6,6 +6,7 @@ import pytest
 from slashpow import serialization as ser
 from slashpow.cli import EXIT_CAP, EXIT_INPUT, EXIT_IO, EXIT_OK, main
 from slashpow.constructions import MeasuredGraph
+from slashpow.core import StGraph
 
 
 @pytest.fixture()
@@ -221,3 +222,52 @@ def test_malformed_env_caps(capsys, diamond_file, monkeypatch, name, raw):
     assert main(["pipeline", "--graph", str(diamond_file)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+
+
+def _write_measured(tmp_path, edges, s, t, weight):
+    """A graph file on vertices 0..max with the given weight on every edge
+    and the uniform measure."""
+    n = 1 + max(max(e) for e in edges)
+    g = StGraph(names=tuple(f"v{i}" for i in range(n)), edges=tuple(edges),
+                weights=(weight,) * len(edges), s=s, t=t)
+    path = tmp_path / "g.json"
+    path.write_text(ser.dumps(MeasuredGraph(
+        graph=g, nu=(F(1, len(edges)),) * len(edges))))
+    return str(path)
+
+
+def test_pipeline_on_a_long_path_is_refused_without_recursion(capsys, tmp_path):
+    k = 1500
+    graph = _write_measured(tmp_path, [(i, i + 1) for i in range(k)], 0, k,
+                            F(1, k))
+    assert main(["pipeline", "--graph", graph]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input graph is a path" in err and "Traceback" not in err
+
+
+def test_power_of_a_long_base_with_a_directed_cycle_is_refused(capsys, tmp_path):
+    # v2 -> a -> v1 closes the directed cycle v1 v2 a off every s-t path.
+    k = 1500
+    a = k + 1
+    edges = [(i, i + 1) for i in range(k)] + [(2, a), (a, 1)]
+    graph = _write_measured(tmp_path, edges, 0, k, F(1, k))
+    assert main(["power", "--base", graph, "--n", "1"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "not a normalized geodesic" in err and "Traceback" not in err
+
+
+def test_directed_cycle_validation_is_capped(capsys, tmp_path, monkeypatch):
+    # 12 diamonds in series have 4096 s-t paths; the directed triangle
+    # j0 -> x -> y -> j0 sends validation down the exhaustive search.
+    k = 12
+    edges = []
+    for i in range(k):
+        j, a, b, nxt = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(j, a), (a, nxt), (j, b), (b, nxt)]
+    x, y = 3 * k + 1, 3 * k + 2
+    edges += [(0, x), (x, y), (y, 0)]
+    graph = _write_measured(tmp_path, edges, 0, 3 * k, F(1, 2 * k))
+    monkeypatch.setenv("SLASHPOW_MAX_PATHS", "1000")
+    assert main(["power", "--base", graph, "--n", "1"]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert "more than 1000 s-t paths" in err and "Traceback" not in err

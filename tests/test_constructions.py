@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slashpow as sp
-from helpers import all_pairs, diamond, laakso1221, three_branch
+from helpers import all_pairs, diamond, laakso1221, three_branch, unit_cycle
 from slashpow.constructions import (
     LaaksoParams,
     as_laakso,
@@ -18,6 +18,7 @@ from slashpow.constructions import (
 )
 from slashpow.core import (
     geodesic_metric,
+    is_cycle_in,
     is_normalized_geodesic_st,
     normalize,
     validate_st_graph,
@@ -128,6 +129,12 @@ def test_find_any_cycle():
     first = find_any_cycle(big)
     assert first == find_any_cycle(big)  # deterministic
     assert first is not None and len(set(first)) == len(first) >= 3
+
+
+def test_find_any_cycle_on_a_long_cycle():
+    g = unit_cycle(1500)
+    c = find_any_cycle(g)
+    assert c is not None and len(c) == 1500 and is_cycle_in(g, c)
 
 
 def test_laakso_from_cycle_identity_cases():

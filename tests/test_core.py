@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,16 @@ from slashpow.core import (
     normalize,
     path_length,
     st_path_length_range,
+    undirected_st_path_length_range,
     validate_st_graph,
 )
-from slashpow.errors import CapExceeded, InputError, InvalidPath, NotGeodesicStGraph
+from slashpow.errors import (
+    CapExceeded,
+    DisconnectedGraph,
+    InputError,
+    InvalidPath,
+    NotGeodesicStGraph,
+)
 
 fractions = st.builds(F, st.integers(1, 12), st.integers(1, 12))
 
@@ -262,3 +270,51 @@ def test_normalize_path_property(weights):
     norm = normalize(g)
     assert is_normalized_geodesic_st(norm)
     assert normalize(norm).weights == norm.weights
+
+
+@st.composite
+def oriented_graphs(draw):
+    """Up to 7 vertices, each edge oriented either way, so directed cycles
+    and edges off every s-t path occur."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    edges = tuple((v, u) if draw(st.booleans()) else (u, v) for u, v in chosen)
+    weights = tuple(draw(fractions) for _ in edges)
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                         unique=True))
+    return StGraph(names=tuple(map(str, range(n))), edges=edges,
+                   weights=weights, s=s, t=t)
+
+
+def _canonical_cycle(c):
+    i = c.index(min(c))
+    c = c[i:] + c[:i]
+    return tuple(c) if c[1] < c[-1] else (c[0],) + tuple(reversed(c[1:]))
+
+
+@given(oriented_graphs())
+@settings(max_examples=300)
+def test_path_searches_match_networkx(g):
+    dg = nx.DiGraph(g.edges)
+    dg.add_nodes_from(range(g.vertex_count))
+    ug = dg.to_undirected()
+
+    st_paths = sorted(map(tuple, nx.all_simple_paths(dg, g.s, g.t)))
+    assert list(enumerate_st_paths(g)) == st_paths
+
+    on_path = {pair for p in st_paths for pair in zip(p, p[1:])}
+    report = validate_st_graph(g)
+    assert report.edge_on_st_path == tuple(e in on_path for e in g.edges)
+    assert report.connected == nx.is_connected(ug)
+
+    lengths = [sum(g.weights[g.edge_index(a, b)] for a, b in zip(p, p[1:]))
+               for p in nx.all_simple_paths(ug, g.s, g.t)]
+    if lengths:
+        assert undirected_st_path_length_range(g) == (min(lengths), max(lengths))
+    else:
+        with pytest.raises(DisconnectedGraph):
+            undirected_st_path_length_range(g)
+
+    cycles = sorted(_canonical_cycle(c) for c in nx.simple_cycles(ug))
+    assert list(enumerate_cycles(g)) == cycles
