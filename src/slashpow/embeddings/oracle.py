@@ -30,6 +30,8 @@ def prufer_to_edges(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]:
         raise InputError("need at least two vertices")
     if len(seq) != n - 2:
         raise InputError("sequence length must be n-2")
+    if any(not 0 <= x < n for x in seq):
+        raise InputError(f"sequence entries must lie in 0..{n - 1}")
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -85,11 +87,15 @@ def optimal_tree_weights(metric: GeodesicMetric, nu: Sequence[Fraction],
 
     Minimizes the nu-weighted expected stretch of graph edges subject to
     every vertex pair's tree path dominating its graph distance; exact.
+    `edges` must be a spanning tree of the metric's vertices.
     """
     g = metric.source
     n = g.vertex_count
-    paths = tree_pair_paths(edges, n)
     nvar = len(edges)
+    in_range = all(0 <= u < n and 0 <= v < n for u, v in edges)
+    paths = tree_pair_paths(edges, n) if in_range else {}
+    if nvar != n - 1 or len(paths) != n * (n - 1) // 2:
+        raise InputError(f"{nvar} edges do not form a spanning tree on {n} vertices")
 
     cost = [Fraction(0)] * nvar
     for gi, (u, v) in enumerate(g.edges):
@@ -98,12 +104,12 @@ def optimal_tree_weights(metric: GeodesicMetric, nu: Sequence[Fraction],
         for ei in paths[key]:
             cost[ei] += coeff
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     rhs: list[Fraction] = []
     for (u, v), through in sorted(paths.items()):
-        row = [Fraction(0)] * nvar
+        row = [0] * nvar
         for ei in through:
-            row[ei] = Fraction(1)
+            row[ei] = 1
         rows.append(row)
         rhs.append(metric.d(u, v))
     result = solve_min(cost, rows, rhs)

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 import lp_reference
-from helpers import diamond, unit_cycle_measured
+from helpers import diamond, laakso1221, unit_cycle_measured
 from slashpow.core import geodesic_metric
 from slashpow.embeddings import iter_labeled_trees, optimal_tree_weights
+from slashpow.embeddings import lp as lp_module
 from slashpow.embeddings import oracle as oracle_module
 from slashpow.embeddings.lp import solve_min
 from slashpow.errors import LPError
@@ -119,8 +120,11 @@ def _outcome(solver, c, a, b):
 
 @pytest.mark.parametrize("mg, stride", [(diamond(), 1),
                                         (unit_cycle_measured(4), 1),
-                                        (unit_cycle_measured(5), 7)],
-                         ids=["diamond", "cycle4", "cycle5-every-7th"])
+                                        (unit_cycle_measured(5), 7),
+                                        (laakso1221(), 13),
+                                        (unit_cycle_measured(6), 13)],
+                         ids=["diamond", "cycle4", "cycle5-every-7th",
+                              "laakso1221-every-13th", "cycle6-every-13th"])
 def test_same_solution_as_reference_on_oracle_topologies(mg, stride, monkeypatch):
     # The integer tableau takes the Fraction tableau's Bland pivots, so even
     # where the optimum is not unique it lands on the same vertex x.
@@ -170,6 +174,45 @@ def test_same_solution_as_reference_on_random_instances():
     assert set(outcomes) == {"optimal", "infeasible constraints",
                              "unbounded objective"}
     assert min(outcomes.values()) >= 100
+
+
+def _spy_pivots(monkeypatch):
+    """Record (entering label, stored columns, pivot kept the denominator)
+    for every pivot the library solver makes."""
+    pivots = []
+    real = lp_module._pivot
+
+    def spy(tab, basis, d, row, entering, column):
+        p = real(tab, basis, d, row, entering, column)
+        pivots.append((entering, len(tab[0]) - 1, p == d))
+        return p
+
+    monkeypatch.setattr(lp_module, "_pivot", spy)
+    return pivots
+
+
+def test_artificial_reentry_matches_reference(monkeypatch):
+    # min -x + 2y  s.t.  -x + y >= 0, 2x - 2y >= 0, -x + 2y >= 1: the first
+    # two rows force x = y, so the optimum is x = y = 1.  In phase 1 Bland's
+    # rule brings the first artificial back into the basis (a degenerate
+    # pivot on the implicit column), which then leaves again.
+    c, a, b = [-1, 2], [[-1, 1], [2, -2], [-1, 2]], [0, 0, 1]
+    pivots = _spy_pivots(monkeypatch)
+    res = solve_min(c, a, b)
+    assert res == lp_reference.solve_min(c, a, b)
+    assert res == solve_min([F(v) for v in c], [[F(v) for v in row] for row in a],
+                            [F(v) for v in b])
+    assert res.value == 1 and res.x == (F(1), F(1))
+    assert any(entering >= stored for entering, stored, _ in pivots)
+
+
+def test_reference_instances_exercise_both_pivot_updates(monkeypatch):
+    # A pivot equal to the denominator updates only the pivot row's nonzeros
+    # in place; any other pivot updates whole rows.  The reference
+    # comparison must run through both.
+    pivots = _spy_pivots(monkeypatch)
+    test_same_solution_as_reference_on_random_instances()
+    assert {same for _, _, same in pivots} == {True, False}
 
 
 def _solve_square(a, b):

@@ -14,7 +14,7 @@ from slashpow.embeddings import (
     prufer_to_edges,
     tree_pair_paths,
 )
-from slashpow.errors import CapExceeded
+from slashpow.errors import CapExceeded, InputError
 
 # Golden values, first computed by this oracle itself (topology enumeration
 # plus exact LP) and confirmed against the by-hand candidates; frozen.
@@ -205,3 +205,22 @@ def test_optimal_weights_always_expansive():
         tree = GeodesicTree(names=mg.graph.names, edges=edges, weights=weights)
         ok, _ = check_expansive(metric, tree, identity_tree_map(4))
         assert ok
+
+
+@pytest.mark.parametrize("seq", [(-1,), (3,), (0, 4)])
+def test_prufer_entries_out_of_range_are_refused(seq):
+    with pytest.raises(InputError, match="entries must lie in"):
+        prufer_to_edges(seq, len(seq) + 2)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2)],                  # too few edges
+    [(0, 1), (1, 2), (2, 3), (0, 3)],  # the cycle itself
+    [(0, 1), (0, 1), (2, 3)],          # n-1 edges, not connected
+    [(0, 1), (1, 2), (2, 4)],          # an endpoint outside the vertices
+    [(0, 1), (1, 2), (-1, 0)],
+], ids=["short", "cycle", "disconnected", "endpoint-4", "endpoint-minus-1"])
+def test_optimal_tree_weights_needs_a_spanning_tree(edges):
+    mg = unit_cycle_measured(4)
+    with pytest.raises(InputError, match="not form a spanning tree"):
+        optimal_tree_weights(geodesic_metric(mg.graph), mg.nu, edges)
