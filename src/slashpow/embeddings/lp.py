@@ -8,17 +8,17 @@ integer-preserving updates over one common positive denominator, so every
 division is exact.  Positive scales of whole columns keep the sign of every
 reduced cost and the order and ties of every ratio test, so Bland's rule
 takes the same pivots as on the Fraction tableau; the solution is unscaled
-once into exact Fractions.  Instances here are tiny: one variable per tree
-edge, one constraint per vertex pair.
+once into exact Fractions.  Instances here are tiny: the oracle passes one
+variable and one unit row x_e >= d(a_e, b_e) per tree edge.
 
 The phase-1 artificial columns are implicit.  Row operations keep each
 artificial column equal to minus its surplus column, and its phase-1
 reduced cost equal to the denominator minus the surplus one, so only the
 structural and surplus columns are stored; an artificial that Bland's rule
 brings back into the basis is pivoted on as its negated surplus column.
-A pivot equal to the current denominator (the common case: the oracle's
-rows are tree-path incidence vectors, a network matrix) updates only the
-pivot row's nonzero entries, in place.
+A pivot equal to the current denominator (the common case: every pivot
+on the oracle's unit rows) updates only the pivot row's nonzero entries,
+in place.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from ..constructions import MeasuredGraph
@@ -88,6 +89,11 @@ def optimal_tree_weights(metric: GeodesicMetric, nu: Sequence[Fraction],
     Minimizes the nu-weighted expected stretch of graph edges subject to
     every vertex pair's tree path dominating its graph distance; exact.
     `edges` must be a spanning tree of the metric's vertices.
+
+    The LP relaxes to the tree edges' rows x_e >= d(a_e, b_e): a box with the
+    one vertex x = d, which the simplex returns.  Every pair's row is then
+    checked on d, in integers, so x is feasible, hence optimal, for the full
+    LP.  The costs nu(g)/d(g) are integers over one denominator, divided once.
     """
     g = metric.source
     n = g.vertex_count
@@ -96,24 +102,24 @@ def optimal_tree_weights(metric: GeodesicMetric, nu: Sequence[Fraction],
     paths = tree_pair_paths(edges, n) if in_range else {}
     if nvar != n - 1 or len(paths) != n * (n - 1) // 2:
         raise InputError(f"{nvar} edges do not form a spanning tree on {n} vertices")
+    if len(nu) != g.edge_count or any(p < 0 for p in nu):
+        raise InputError(f"measure must be {g.edge_count} nonnegative values")
 
-    cost = [Fraction(0)] * nvar
-    for gi, (u, v) in enumerate(g.edges):
-        key = (min(u, v), max(u, v))
-        coeff = nu[gi] / metric.d(u, v)
-        for ei in paths[key]:
+    scale, rows = metric.scale, metric.rows
+    common = lcm(*(p.denominator * rows[u][v] for p, (u, v) in zip(nu, g.edges)))
+    cost = [0] * nvar
+    for p, (u, v) in zip(nu, g.edges):
+        coeff = p.numerator * scale * common // (p.denominator * rows[u][v])
+        for ei in paths[(min(u, v), max(u, v))]:
             cost[ei] += coeff
 
-    rows: list[list[int]] = []
-    rhs: list[Fraction] = []
-    for (u, v), through in sorted(paths.items()):
-        row = [0] * nvar
-        for ei in through:
-            row[ei] = 1
-        rows.append(row)
-        rhs.append(metric.d(u, v))
-    result = solve_min(cost, rows, rhs)
-    return result.value, result.x
+    unit_rows = [[int(i == j) for j in range(nvar)] for i in range(nvar)]
+    result = solve_min(cost, unit_rows, [metric.d(a, b) for a, b in edges])
+    weights = [rows[a][b] for a, b in edges]
+    for (u, v), through in paths.items():
+        if sum(weights[ei] for ei in through) < rows[u][v]:
+            raise InputError(f"pair {(u, v)} is not dominated by its tree path")
+    return result.value / common, result.x
 
 
 @dataclass(frozen=True)

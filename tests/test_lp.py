@@ -215,6 +215,49 @@ def test_reference_instances_exercise_both_pivot_updates(monkeypatch):
     assert {same for _, _, same in pivots} == {True, False}
 
 
+def _check_phase1_objective(monkeypatch):
+    """After every phase-1 pivot, require the objective row to equal the one
+    recomputed from the basis: minus the sum of the rows whose basic
+    variable is an (implicit) artificial, rhs included.  Records whether
+    each checked pivot brought an artificial back in."""
+    checked = []
+    real_pivot, real_simplex = lp_module._pivot, lp_module._simplex
+    phase1 = [False]
+
+    def simplex(tab, basis, d, artificials):
+        phase1[0] = artificials
+        try:
+            return real_simplex(tab, basis, d, artificials)
+        finally:
+            phase1[0] = False
+
+    def pivot(tab, basis, d, row, entering, column):
+        p = real_pivot(tab, basis, d, row, entering, column)
+        if phase1[0]:
+            m = len(basis)
+            stored = len(tab[m]) - 1
+            expected = [-sum(tab[r][j] for r in range(m) if basis[r] >= stored)
+                        for j in range(stored + 1)]
+            assert tab[m] == expected
+            checked.append(entering >= stored)
+        return p
+
+    monkeypatch.setattr(lp_module, "_simplex", simplex)
+    monkeypatch.setattr(lp_module, "_pivot", pivot)
+    return checked
+
+
+def test_phase1_objective_row_tracks_the_basis(monkeypatch):
+    # Outputs alone do not show a wrong objective-row entry for a
+    # re-entering artificial (Bland's rule may still pick the same pivots),
+    # so the row itself is recomputed after every phase-1 pivot.
+    checked = _check_phase1_objective(monkeypatch)
+    solve_min([-1, 2], [[-1, 1], [2, -2], [-1, 2]], [0, 0, 1])
+    assert any(checked)
+    test_same_solution_as_reference_on_random_instances()
+    assert len(checked) > 1000
+
+
 def _solve_square(a, b):
     """Exact Gaussian elimination; None when singular."""
     n = len(b)

@@ -2,10 +2,14 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import lp_reference
 import slashpow as sp
 from helpers import diamond, laakso1221, unit_cycle_measured
-from slashpow.core import geodesic_metric
+from slashpow.constructions import MeasuredGraph
+from slashpow.core import GeodesicMetric, StGraph, geodesic_metric
 from slashpow.embeddings import (
     check_expansive,
     iter_labeled_trees,
@@ -14,6 +18,7 @@ from slashpow.embeddings import (
     prufer_to_edges,
     tree_pair_paths,
 )
+from slashpow.embeddings.lp import solve_min
 from slashpow.errors import CapExceeded, InputError
 
 # Golden values, first computed by this oracle itself (topology enumeration
@@ -224,3 +229,102 @@ def test_optimal_tree_weights_needs_a_spanning_tree(edges):
     mg = unit_cycle_measured(4)
     with pytest.raises(InputError, match="not form a spanning tree"):
         optimal_tree_weights(geodesic_metric(mg.graph), mg.nu, edges)
+
+
+def _full_pair_lp(metric, nu, edges):
+    """The oracle's LP with every pair row: Fraction costs nu(g)/d(g) summed
+    per tree edge, one 0/1 tree-path row per vertex pair, in sorted order."""
+    g = metric.source
+    paths = tree_pair_paths(edges, g.vertex_count)
+    cost = [F(0)] * len(edges)
+    for gi, (u, v) in enumerate(g.edges):
+        for ei in paths[(min(u, v), max(u, v))]:
+            cost[ei] += nu[gi] / metric.d(u, v)
+    rows, rhs = [], []
+    for (u, v), through in sorted(paths.items()):
+        rows.append([int(ei in through) for ei in range(len(edges))])
+        rhs.append(metric.d(u, v))
+    return cost, rows, rhs
+
+
+def _matches_full_pair_lp(metric, nu, edges):
+    """Whether the tree has a zero-cost edge, after requiring that
+    optimal_tree_weights and both solvers on the full LP agree exactly."""
+    got = optimal_tree_weights(metric, nu, edges)
+    cost, rows, rhs = _full_pair_lp(metric, nu, edges)
+    for solver in (solve_min, lp_reference.solve_min):
+        res = solver(cost, rows, rhs)
+        assert got == (res.value, res.x)
+    return 0 in cost
+
+
+@pytest.mark.parametrize("mg, stride", [(diamond(), 1),
+                                        (unit_cycle_measured(4), 1),
+                                        (unit_cycle_measured(5), 1),
+                                        (laakso1221(), 13),
+                                        (unit_cycle_measured(6), 13)],
+                         ids=["diamond", "cycle4", "cycle5",
+                              "laakso1221-every-13th", "cycle6-every-13th"])
+def test_tree_edge_rows_give_the_full_pair_lp_solution(mg, stride):
+    metric = geodesic_metric(mg.graph)
+    for _, edges in list(iter_labeled_trees(mg.graph.vertex_count))[::stride]:
+        _matches_full_pair_lp(metric, mg.nu, edges)
+
+
+@st.composite
+def restricted_measured_graphs(draw):
+    """A connected graph on 3 to 5 vertices whose measure vanishes on every
+    edge at one vertex z, so any tree with z as a leaf has a zero-cost edge."""
+    n = draw(st.integers(3, 5))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=4)):
+        if u < v and (u, v) not in edges:
+            edges.append((u, v))
+    weights = [draw(st.sampled_from((F(1), F(1, 2), F(2, 3), F(3, 2))))
+               for _ in edges]
+    z = draw(st.integers(0, n - 1))
+    masses = [0 if z in e else draw(st.integers(0, 3)) for e in edges]
+    assume(any(masses))
+    g = StGraph(names=tuple(f"v{i}" for i in range(n)), edges=tuple(edges),
+                weights=tuple(weights), s=0, t=n - 1)
+    return MeasuredGraph(graph=g, nu=tuple(F(x, sum(masses)) for x in masses),
+                         restricted=True)
+
+
+@settings(max_examples=20)
+@given(restricted_measured_graphs())
+def test_zero_cost_tree_edges_give_the_full_pair_lp_solution(mg):
+    # Zero costs are where the optimum need not be unique: the solution
+    # must still be the vertex the full LP's Bland pivots reach.  Every 3rd
+    # of the 125 five-vertex trees keeps the sweep short.
+    n = mg.graph.vertex_count
+    metric = geodesic_metric(mg.graph)
+    trees = list(iter_labeled_trees(n))[::3 if n == 5 else 1]
+    zero_cost = [_matches_full_pair_lp(metric, mg.nu, edges) for _, edges in trees]
+    assert any(zero_cost)
+
+
+@pytest.mark.parametrize("change", [
+    lambda nu: nu[:-1],
+    lambda nu: nu + (F(0),),
+    lambda nu: (-nu[0], nu[1] + 2 * nu[0]) + nu[2:],
+], ids=["short", "long", "negative"])
+def test_optimal_tree_weights_refuses_a_bad_measure(change):
+    mg = laakso1221()
+    edges = prufer_to_edges((1, 1, 2, 4), 6)
+    with pytest.raises(InputError, match="measure"):
+        optimal_tree_weights(geodesic_metric(mg.graph), change(mg.nu), edges)
+
+
+def test_undominated_pair_is_refused():
+    # d(0, 2) = 3 on the unit 4-cycle breaks the triangle inequality through
+    # vertex 1, so the path tree's weights d(a_e, b_e) leave (0, 2) short.
+    mg = unit_cycle_measured(4)
+    metric = geodesic_metric(mg.graph)
+    rows = [list(row) for row in metric.rows]
+    rows[0][2] = rows[2][0] = 3 * rows[0][1]
+    bad = GeodesicMetric(source=mg.graph, scale=metric.scale,
+                         rows=tuple(map(tuple, rows)))
+    with pytest.raises(InputError, match=r"pair \(0, 2\) is not dominated"):
+        optimal_tree_weights(bad, mg.nu, [(0, 1), (1, 2), (2, 3)])
