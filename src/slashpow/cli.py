@@ -61,12 +61,19 @@ def _parse_params(raw: str) -> LaaksoParams:
 
 
 def _write_text(path: Optional[str], text: str) -> None:
-    if path is None:
+    """Write `text` as UTF-8, to a file or to stdout (ending in a newline),
+    whatever encoding the locale or PYTHONIOENCODING gives stdout."""
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
+        return
+    if not text.endswith("\n"):
+        text += "\n"
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # an in-memory text stream takes str as it is
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        Path(path).write_text(text)
+        sys.stdout.flush()
+        buffer.write(text.encode("utf-8"))
 
 
 def _load_graph(path: str) -> StGraph | MeasuredGraph:
@@ -114,9 +121,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_power(args: argparse.Namespace) -> int:
     mg = _need_measured(_load_graph(args.base))
     power = slash_power(mg, args.n)
-    doc = ser.measured_to_dict(power.graph)
-    doc["edge_labels"] = power.label_strings()
-    _write_text(args.out, json.dumps(doc, indent=2))
+    _write_text(args.out, ser.dumps(power.graph, edge_labels=power.label_strings()))
     return EXIT_OK
 
 
@@ -146,13 +151,12 @@ def _cmd_find_balanced(args: argparse.Namespace) -> int:
     params = _parse_params(args.params)
     mg = uniform_laakso(params)
     witness = find_balanced_laakso(mg)
-    doc = {
+    _write_text(args.out, ser.dumps_document({
         "n0": witness.n0,
         "i": witness.i,
         "params": list(witness.subgraph.structure.params.as_tuple()),
-        "subgraph": ser.graph_to_dict(witness.subgraph.graph),
-    }
-    _write_text(args.out, json.dumps(doc, indent=2))
+        "subgraph": witness.subgraph.graph,
+    }))
     return EXIT_OK
 
 
@@ -160,14 +164,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     mg = _need_measured(_load_graph(args.graph))
     result = balanced_laakso_pipeline(mg)
     sub_measured = laakso_measure(result.subgraph.graph, result.subgraph.structure)
-    doc = {
+    _write_text(args.out, ser.dumps_document({
         "n": result.n,
         "c0": ser.fraction_str(result.c0),
         "power_edges": result.power.graph.graph.edge_count,
         "support_edges": sum(1 for x in result.measure.nu if x),
-        "subgraph": ser.measured_to_dict(sub_measured),
-    }
-    _write_text(args.out, json.dumps(doc, indent=2))
+        "subgraph": sub_measured,
+    }))
     return EXIT_OK
 
 
@@ -177,7 +180,7 @@ def _cmd_embed_frt(args: argparse.Namespace) -> int:
     report = distortion_report(mg, emb)
     value = report.worst_stretch
     if args.report:
-        with open(args.report, "w", newline="") as fh:
+        with open(args.report, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["pair", "d_X", "E_dT", "stretch", "stretch_decimal"])
             for u, v, dx, mean, stretch in report.rows:

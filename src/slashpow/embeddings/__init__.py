@@ -24,7 +24,6 @@ from .oracle import (
     optimal_tree_weights,
     oracle_min_expected_distortion,
     prufer_to_edges,
-    tree_pair_paths,
 )
 from .trees import (
     GeodesicTree,
@@ -59,7 +58,6 @@ __all__ = [
     "prufer_to_edges",
     "solve_min",
     "stochastic_distortion_of",
-    "tree_pair_paths",
     "truncated_distortion_bound",
     "truncated_expected_stretch",
 ]

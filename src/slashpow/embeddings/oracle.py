@@ -58,27 +58,23 @@ def iter_labeled_trees(n: int) -> Iterator[tuple[tuple[int, ...], tuple[tuple[in
         yield seq, prufer_to_edges(seq, n)
 
 
-def tree_pair_paths(edges: Sequence[tuple[int, int]], n: int
-                    ) -> dict[tuple[int, int], tuple[int, ...]]:
-    """For every pair u<v, the edge indices on the unique tree path."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    for src in range(n):
-        stack = [(src, ())]
-        seen = {src}
-        while stack:
-            x, used = stack.pop()
-            for y, ei in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    through = used + (ei,)
-                    if src < y:
-                        paths[(src, y)] = through
-                    stack.append((y, through))
-    return paths
+def _tree_walk(adj: Sequence[Sequence[tuple[int, int]]], lengths: Sequence[int],
+               src: int) -> tuple[list[Optional[tuple[int, int]]], list[int]]:
+    """One walk of the tree from src: the (parent, tree edge index) step into
+    every vertex, None where the tree does not reach, and every vertex's
+    integer tree distance from src under the tree edge `lengths`."""
+    step: list[Optional[tuple[int, int]]] = [None] * len(adj)
+    dist = [0] * len(adj)
+    step[src] = (src, -1)
+    stack = [src]
+    while stack:
+        x = stack.pop()
+        for y, ei in adj[x]:
+            if step[y] is None:
+                step[y] = (x, ei)
+                dist[y] = dist[x] + lengths[ei]
+                stack.append(y)
+    return step, dist
 
 
 def optimal_tree_weights(metric: GeodesicMetric, nu: Sequence[Fraction],
@@ -93,32 +89,41 @@ def optimal_tree_weights(metric: GeodesicMetric, nu: Sequence[Fraction],
     The LP relaxes to the tree edges' rows x_e >= d(a_e, b_e): a box with the
     one vertex x = d, which the simplex returns.  Every pair's row is then
     checked on d, in integers, so x is feasible, hence optimal, for the full
-    LP.  The costs nu(g)/d(g) are integers over one denominator, divided once.
+    LP.  The costs nu(g)/d(g) are integers over one denominator, divided once;
+    each is added along the tree path of its graph edge alone.
     """
     g = metric.source
     n = g.vertex_count
     nvar = len(edges)
-    in_range = all(0 <= u < n and 0 <= v < n for u, v in edges)
-    paths = tree_pair_paths(edges, n) if in_range else {}
-    if nvar != n - 1 or len(paths) != n * (n - 1) // 2:
+    scale, rows = metric.scale, metric.rows
+    walks = []
+    if all(0 <= u < n and 0 <= v < n for u, v in edges):
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for i, (u, v) in enumerate(edges):
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+        lengths = [rows[a][b] for a, b in edges]
+        walks = [_tree_walk(adj, lengths, src) for src in range(n)]
+    if nvar != n - 1 or not walks or None in walks[0][0]:
         raise InputError(f"{nvar} edges do not form a spanning tree on {n} vertices")
     if len(nu) != g.edge_count or any(p < 0 for p in nu):
         raise InputError(f"measure must be {g.edge_count} nonnegative values")
 
-    scale, rows = metric.scale, metric.rows
     common = lcm(*(p.denominator * rows[u][v] for p, (u, v) in zip(nu, g.edges)))
     cost = [0] * nvar
     for p, (u, v) in zip(nu, g.edges):
         coeff = p.numerator * scale * common // (p.denominator * rows[u][v])
-        for ei in paths[(min(u, v), max(u, v))]:
+        step = walks[u][0]
+        while v != u:
+            v, ei = step[v]
             cost[ei] += coeff
 
     unit_rows = [[int(i == j) for j in range(nvar)] for i in range(nvar)]
     result = solve_min(cost, unit_rows, [metric.d(a, b) for a, b in edges])
-    weights = [rows[a][b] for a, b in edges]
-    for (u, v), through in paths.items():
-        if sum(weights[ei] for ei in through) < rows[u][v]:
-            raise InputError(f"pair {(u, v)} is not dominated by its tree path")
+    for u, (_, dist) in enumerate(walks):
+        for v in range(u + 1, n):
+            if dist[v] < rows[u][v]:
+                raise InputError(f"pair {(u, v)} is not dominated by its tree path")
     return result.value / common, result.x
 
 

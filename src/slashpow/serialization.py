@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Callable
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .constructions import MeasuredGraph
 from .core import StGraph, _str_digit_limit
@@ -75,25 +77,6 @@ def _parser() -> Callable[[Any], Fraction]:
         return x
 
     return parse
-
-
-def graph_to_dict(g: StGraph) -> dict:
-    return {
-        "vertices": list(g.names),
-        "edges": [[g.names[u], g.names[v], fraction_str(w)]
-                  for (u, v), w in zip(g.edges, g.weights)],
-        "s": g.names[g.s],
-        "t": g.names[g.t],
-        "orientation": [[g.names[u], g.names[v]] for u, v in g.edges],
-    }
-
-
-def measured_to_dict(mg: MeasuredGraph) -> dict:
-    doc = graph_to_dict(mg.graph)
-    doc["measure"] = [fraction_str(x) for x in mg.nu]
-    if mg.restricted:
-        doc["restricted"] = True
-    return doc
 
 
 def _require(doc: dict, key: str) -> Any:
@@ -171,11 +154,6 @@ def measured_from_dict(doc: dict) -> MeasuredGraph:
         raise SchemaError(str(exc)) from exc
 
 
-def dumps(obj: StGraph | MeasuredGraph) -> str:
-    doc = measured_to_dict(obj) if isinstance(obj, MeasuredGraph) else graph_to_dict(obj)
-    return json.dumps(doc, indent=2)
-
-
 def loads(text: str) -> StGraph | MeasuredGraph:
     try:
         doc = json.loads(text)
@@ -188,18 +166,120 @@ def loads(text: str) -> StGraph | MeasuredGraph:
     return graph_from_dict(doc)
 
 
+# --- writing -----------------------------------------------------------------
+#
+# Graph documents are laid out exactly as json.dumps(doc, indent=2) lays out
+# the equivalent dict, which with an indent runs the pure-Python encoder once
+# per list element.  Here they are rendered straight from the graph instead:
+# each vertex name is encoded once (by json's C string encoder) into the few
+# pieces an edge row is made of, each distinct weight or measure object is
+# rendered once, and the whole document is one join over those shared pieces.
+
+_INDENT = "  "
+
+
+def _array(depth: int, *columns: Sequence[str]) -> Iterable[str]:
+    """The pieces of a JSON array opened at nesting `depth` whose i-th item is
+    the concatenation of the i-th strings of `columns`."""
+    if not columns[0]:
+        return ("[]",)
+    inner = "\n" + _INDENT * (depth + 1)
+    separators = chain((inner,), repeat("," + inner))
+    return chain(("[",), chain.from_iterable(zip(separators, *columns)),
+                 ("\n" + _INDENT * depth + "]",))
+
+
+def _object(depth: int, fields: Sequence[tuple[str, Iterable[str]]]) -> Iterable[str]:
+    """The pieces of a JSON object opened at `depth`, from (key, value pieces)."""
+    inner = "\n" + _INDENT * (depth + 1)
+    parts: list[Iterable[str]] = []
+    for key, value in fields:
+        parts.append(("," if parts else "{", inner, encode_basestring_ascii(key), ": "))
+        parts.append(value)
+    parts.append(("\n" + _INDENT * depth + "}",) if parts else ("{}",))
+    return chain.from_iterable(parts)
+
+
+def _fraction_cells(values: Sequence[Fraction], before: str = "",
+                    after: str = "") -> list[str]:
+    """Each value as a JSON string between `before` and `after`, rendered once
+    per distinct object; id() keys stay valid while `values` holds them."""
+    distinct = dict(zip(map(id, values), values))
+    text = {key: f'{before}"{fraction_str(x)}"{after}' for key, x in distinct.items()}
+    return [text[key] for key in map(id, values)]
+
+
+def _graph_fields(obj: StGraph | MeasuredGraph,
+                  depth: int) -> list[tuple[str, Iterable[str]]]:
+    """The fields of a graph document whose object opens at `depth`."""
+    g = obj.graph if isinstance(obj, MeasuredGraph) else obj
+    names = list(map(encode_basestring_ascii, g.names))
+    # An edge row is an array at depth + 2, its cells at depth + 3.
+    cell = "\n" + _INDENT * (depth + 3)
+    close = "\n" + _INDENT * (depth + 2) + "]"
+    opens = [f"[{cell}{x}," for x in names]
+    middles = [f"{cell}{x}," for x in names]
+    lasts = [f"{cell}{x}{close}" for x in names]
+    tails = [opens[u] for u, _ in g.edges]
+    fields = [
+        ("vertices", _array(depth + 1, names)),
+        ("edges", _array(depth + 1, tails, [middles[v] for _, v in g.edges],
+                         _fraction_cells(g.weights, cell, close))),
+        ("s", (names[g.s],)),
+        ("t", (names[g.t],)),
+        ("orientation", _array(depth + 1, tails, [lasts[v] for _, v in g.edges])),
+    ]
+    if isinstance(obj, MeasuredGraph):
+        fields.append(("measure", _array(depth + 1, _fraction_cells(obj.nu))))
+        if obj.restricted:
+            fields.append(("restricted", ("true",)))
+    return fields
+
+
+def dumps(obj: StGraph | MeasuredGraph,
+          edge_labels: Optional[Sequence[str]] = None) -> str:
+    """The graph document; a power's `edge_labels` follow as one more field."""
+    fields = _graph_fields(obj, 0)
+    if edge_labels is not None:
+        fields.append(("edge_labels",
+                       _array(1, list(map(encode_basestring_ascii, edge_labels)))))
+    return "".join(_object(0, fields))
+
+
+def _value(value: Any, depth: int) -> Iterable[str]:
+    """The pieces of one document value opened at `depth`."""
+    if isinstance(value, (StGraph, MeasuredGraph)):
+        return _object(depth, _graph_fields(value, depth))
+    if isinstance(value, list):
+        return _array(depth, ["".join(_value(x, depth + 1)) for x in value])
+    if isinstance(value, bool):
+        return ("true" if value else "false",)
+    if isinstance(value, int):
+        return (int.__repr__(value),)
+    if isinstance(value, str):
+        return (encode_basestring_ascii(value),)
+    raise TypeError(f"cannot write a {type(value).__name__}")
+
+
+def dumps_document(fields: dict[str, Any]) -> str:
+    """A JSON object of ints, strings, lists and graphs; each graph is written
+    as its graph document, nested one level down."""
+    return "".join(_object(0, [(key, _value(value, 1)) for key, value in fields.items()]))
+
+
+def _dot_id(text: str) -> str:
+    """A quoted DOT ID: backslashes and double quotes are escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(g: StGraph) -> str:
     """DOT digraph honoring the orientation; labels carry exact weights."""
+    ids = list(map(_dot_id, g.names))
+    roles = {g.s: " [role=s]", g.t: " [role=t]"}
     lines = ["digraph g {"]
-    for name in g.names:
-        attrs = []
-        if name == g.names[g.s]:
-            attrs.append("role=s")
-        if name == g.names[g.t]:
-            attrs.append("role=t")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{name}"{suffix};')
-    for (u, v), w in zip(g.edges, g.weights):
-        lines.append(f'  "{g.names[u]}" -> "{g.names[v]}" [label="{fraction_str(w)}"];')
+    lines.extend(f"  {x}{roles.get(v, '')};" for v, x in enumerate(ids))
+    labels = _fraction_cells(g.weights, ' [label=', '];')
+    lines.extend(f"  {ids[u]} -> {ids[v]}{label}"
+                 for (u, v), label in zip(g.edges, labels))
     lines.append("}")
     return "\n".join(lines) + "\n"

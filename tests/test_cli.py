@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +157,23 @@ def test_export_dot(capsys, diamond_file):
     assert main(["export-dot", "--graph", str(diamond_file)]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("->") == 4
+
+
+def test_text_outputs_are_utf8_whatever_the_stdout_encoding(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({
+        "vertices": ["s", "té"], "edges": [["s", "té", "1"]], "s": "s", "t": "té",
+        "orientation": [["s", "té"]]}), encoding="utf-8")
+    dot = 'digraph g {\n  "s" [role=s];\n  "té" [role=t];\n  "s" -> "té" [label="1/1"];\n}\n'
+    env = dict(os.environ, PYTHONIOENCODING="ascii",
+               PYTHONPATH=str(Path(ser.__file__).resolve().parents[1]))
+    for out, stdout in ((None, dot), (tmp_path / "g.dot", "")):
+        argv = ["export-dot", "--graph", str(graph)] + (["--out", str(out)] if out else [])
+        run = subprocess.run([sys.executable, "-m", "slashpow.cli", *argv],
+                             capture_output=True, env=env, timeout=60)
+        assert (run.returncode, run.stderr) == (EXIT_OK, b"")
+        assert run.stdout.decode("utf-8") == stdout
+    assert (tmp_path / "g.dot").read_bytes() == dot.encode("utf-8")
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):

@@ -16,7 +16,6 @@ from slashpow.embeddings import (
     optimal_tree_weights,
     oracle_min_expected_distortion,
     prufer_to_edges,
-    tree_pair_paths,
 )
 from slashpow.embeddings.lp import solve_min
 from slashpow.errors import CapExceeded, InputError
@@ -26,6 +25,29 @@ from slashpow.errors import CapExceeded, InputError
 GOLDEN_DIAMOND = F(3, 2)
 GOLDEN_UNIT_4_CYCLE = F(3, 2)
 GOLDEN_LAAKSO_1221 = F(5, 4)
+
+
+def tree_pair_paths(edges, n):
+    """Reference: for every pair u<v, the edge indices on the unique tree
+    path, found by a separate walk from every vertex."""
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    paths = {}
+    for src in range(n):
+        stack = [(src, ())]
+        seen = {src}
+        while stack:
+            x, used = stack.pop()
+            for y, ei in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    through = used + (ei,)
+                    if src < y:
+                        paths[(src, y)] = through
+                    stack.append((y, through))
+    return paths
 
 
 def test_prufer_decode_basics():
@@ -319,12 +341,15 @@ def test_optimal_tree_weights_refuses_a_bad_measure(change):
 
 def test_undominated_pair_is_refused():
     # d(0, 2) = 3 on the unit 4-cycle breaks the triangle inequality through
-    # vertex 1, so the path tree's weights d(a_e, b_e) leave (0, 2) short.
+    # vertex 1, so the path tree's weights d(a_e, b_e) leave (0, 2) short;
+    # d(0, 1) = 4 leaves (0, 1) short on the tree path 0-2-1.
     mg = unit_cycle_measured(4)
     metric = geodesic_metric(mg.graph)
-    rows = [list(row) for row in metric.rows]
-    rows[0][2] = rows[2][0] = 3 * rows[0][1]
-    bad = GeodesicMetric(source=mg.graph, scale=metric.scale,
-                         rows=tuple(map(tuple, rows)))
-    with pytest.raises(InputError, match=r"pair \(0, 2\) is not dominated"):
-        optimal_tree_weights(bad, mg.nu, [(0, 1), (1, 2), (2, 3)])
+    for (u, v), factor, tree in (((0, 2), 3, [(0, 1), (1, 2), (2, 3)]),
+                                 ((0, 1), 4, [(0, 2), (1, 2), (1, 3)])):
+        rows = [list(row) for row in metric.rows]
+        rows[u][v] = rows[v][u] = factor * metric.rows[0][1]
+        bad = GeodesicMetric(source=mg.graph, scale=metric.scale,
+                             rows=tuple(map(tuple, rows)))
+        with pytest.raises(InputError, match=rf"pair \({u}, {v}\) is not dominated"):
+            optimal_tree_weights(bad, mg.nu, tree)

@@ -1,10 +1,16 @@
 import json
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slashpow as sp
 from helpers import diamond, laakso1221, theta, unit_cycle
 from slashpow import serialization as ser
+from slashpow.cli import main
+from slashpow.constructions import MeasuredGraph
+from slashpow.core import StGraph
 from slashpow.errors import SchemaError
 
 
@@ -113,3 +119,112 @@ def test_loads_refuses_malformed_documents():
     doc["edges"][0][0] = ["x0"]  # unhashable vertex reference
     with pytest.raises(SchemaError):
         ser.graph_from_dict(doc)
+
+
+# --- the writer against json.dumps ------------------------------------------
+
+def _reference_doc(obj):
+    """The dict json.dumps(doc, indent=2) used to write, built field by field."""
+    g = obj.graph if isinstance(obj, MeasuredGraph) else obj
+    doc = {
+        "vertices": list(g.names),
+        "edges": [[g.names[u], g.names[v], ser.fraction_str(w)]
+                  for (u, v), w in zip(g.edges, g.weights)],
+        "s": g.names[g.s],
+        "t": g.names[g.t],
+        "orientation": [[g.names[u], g.names[v]] for u, v in g.edges],
+    }
+    if isinstance(obj, MeasuredGraph):
+        doc["measure"] = [ser.fraction_str(x) for x in obj.nu]
+        if obj.restricted:
+            doc["restricted"] = True
+    return doc
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral characters.
+names = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€😀'), max_size=4)
+
+
+@st.composite
+def graphs(draw):
+    """Plain, measured and restricted graphs on arbitrary names; weights and
+    measure values repeat shared objects as powers do, and fresh ones too."""
+    vs = draw(st.lists(names, min_size=2, max_size=6, unique=True))
+    n = len(vs)
+    s, t = draw(st.permutations(range(n)))[:2]
+    pairs = [(u, v) for u in range(n) for v in range(n) if u < v]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    if draw(st.sampled_from(range(10))) == 9:
+        chosen = []  # empty edge lists
+    edges = tuple((v, u) if draw(st.booleans()) else (u, v) for u, v in chosen)
+    shared = (F(1, 2), F(3), F(23, 3))
+    weight = st.one_of(st.sampled_from(shared),
+                       st.fractions(min_value=F(1, 1000), max_value=1000,
+                                    max_denominator=10**6))
+    weights = tuple(draw(weight) for _ in edges)
+    g = StGraph(names=tuple(vs), edges=edges, weights=weights, s=s, t=t)
+    kind = draw(st.sampled_from(["plain", "measured", "restricted"]))
+    if kind == "plain" or not edges:
+        return g
+    restricted = kind == "restricted"
+    parts = [draw(st.integers(0 if restricted else 1, 3)) for _ in edges]
+    if not any(parts):
+        parts[0] = 1
+    total = sum(parts)
+    cells = {k: F(k, total) for k in set(parts)}
+    return MeasuredGraph(graph=g, nu=tuple(cells[k] for k in parts),
+                         restricted=restricted)
+
+
+@settings(max_examples=300)
+@given(graphs(), st.none() | st.lists(st.text(max_size=5), max_size=8))
+@example(StGraph(names=("s", "t"), edges=(), weights=(), s=0, t=1), [])
+def test_dumps_matches_json_dumps(obj, labels):
+    doc = _reference_doc(obj)
+    if labels is not None:
+        doc["edge_labels"] = labels
+    assert ser.dumps(obj, edge_labels=labels) == json.dumps(doc, indent=2)
+
+
+scalars = st.one_of(st.integers(-10**30, 10**30), st.booleans(), names)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(names, scalars | st.lists(scalars | st.lists(scalars)),
+                       max_size=4),
+       graphs())
+def test_dumps_document_matches_json_dumps(head, obj):
+    doc = dict(head, subgraph=obj)
+    reference = dict(head, subgraph=_reference_doc(obj))
+    assert ser.dumps_document(doc) == json.dumps(reference, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--laakso", "0,2,3,0", "--weights", ";1/2,1/2;1/3,1/3,1/3;"],
+    ["power", "--base", "l0240.json", "--n", "2"],
+    ["find-balanced", "--params", "0,2,3,0"],
+    ["pipeline", "--graph", "l0240.json"],
+], ids=["build", "power", "find-balanced", "pipeline"])
+def test_command_outputs_are_laid_out_as_json_dumps(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--laakso", "0,2,4,0", "--uniform-weights",
+                 "--out", "l0240.json"]) == 0
+    assert main(argv + ["--out", "out.json"]) == 0
+    text = (tmp_path / "out.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2)
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    g = StGraph(names=("s", 'a"b', "c\\d", "té"),
+                edges=((0, 1), (1, 2), (2, 3)),
+                weights=(F(1, 2), F(1, 3), F(1, 2)), s=0, t=3)
+    assert ser.export_dot(g) == (
+        'digraph g {\n'
+        '  "s" [role=s];\n'
+        '  "a\\"b";\n'
+        '  "c\\\\d";\n'
+        '  "té" [role=t];\n'
+        '  "s" -> "a\\"b" [label="1/2"];\n'
+        '  "a\\"b" -> "c\\\\d" [label="1/3"];\n'
+        '  "c\\\\d" -> "té" [label="1/2"];\n'
+        '}\n')
