@@ -14,7 +14,6 @@ from .constructions import (
     build_path,
     cycle_st_graph,
     diamond,
-    find_any_cycle,
     laakso_from_cycle,
     laakso_measure,
     uniform_laakso,
@@ -53,7 +52,6 @@ from .slash import (
     associativity_isomorphism_check,
     lift_cycle,
     lift_path,
-    replace_edge,
     slash_power,
     slash_product,
 )

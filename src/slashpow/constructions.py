@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     CycleSeq,
@@ -16,6 +16,7 @@ from .core import (
     concat_paths,
     edge_cap,
     is_cycle_in,
+    path_length,
     shortest_path_lex,
     single_source_distances,
     validate_st_graph,
@@ -198,7 +199,6 @@ def build_laakso(params: LaaksoParams | tuple[int, int, int, int],
         names.append(name)
         return len(names) - 1
 
-    v = None  # junction where the branches merge; created with the tail
     b1: list[int] = [u]
     for i in range(1, p.l1):
         b1.append(add_vertex(f"y1_{i}"))
@@ -247,40 +247,6 @@ def uniform_laakso(params: LaaksoParams | tuple[int, int, int, int]) -> Measured
 def diamond() -> MeasuredGraph:
     """The (0,2,2,0) graph with weights 1/2; measure is uniform 1/4."""
     return uniform_laakso((0, 2, 2, 0))
-
-
-def find_any_cycle(g: StGraph) -> Optional[CycleSeq]:
-    """Some cycle found by DFS over the undirected graph, or None on a tree.
-
-    Deterministic: neighbors are explored in ascending order from vertex 0.
-    """
-    visited: set[int] = set()
-    for root in range(g.vertex_count):
-        if root in visited:
-            continue
-        visited.add(root)
-        on_path = [root]
-        # stack[i]: the neighbors of on_path[i] still to try, and the edge
-        # that entered on_path[i].
-        stack: list[tuple[Iterator[tuple[int, int]], Optional[int]]] = [
-            (iter(g.und_adj[root]), None)]
-        while stack:
-            neighbors, par_edge = stack[-1]
-            for v, ei in neighbors:
-                if ei == par_edge:
-                    continue
-                if v in visited:
-                    # Every non-tree edge of an undirected DFS leads back to
-                    # a vertex on the current path.
-                    return tuple(on_path[on_path.index(v):])
-                visited.add(v)
-                on_path.append(v)
-                stack.append((iter(g.und_adj[v]), ei))
-                break
-            else:
-                stack.pop()
-                on_path.pop()
-    return None
 
 
 @dataclass(frozen=True)
@@ -470,8 +436,7 @@ def as_laakso(g: StGraph) -> LaaksoStructure:
 def laakso_measure(g: StGraph, structure: LaaksoStructure) -> MeasuredGraph:
     """Standard measure for a Laakso-shaped graph: stem and tail edges carry
     w/d(s,t), branch edges half of that."""
-    dst = sum((g.weight_between(a, b)
-               for a, b in zip(structure.route1(), structure.route1()[1:])), ZERO)
+    dst = path_length(g, structure.route1())
     branch_ids = set()
     for seg in (structure.branch1, structure.branch2):
         for a, b in zip(seg, seg[1:]):

@@ -167,12 +167,6 @@ class StGraph:
         except KeyError:
             raise InvalidPath(f"no edge between {u} and {v}") from None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edge_ids
-
-    def weight_between(self, u: int, v: int) -> Fraction:
-        return self.weights[self.edge_index(u, v)]
-
     def with_weights(self, weights: Sequence[Fraction]) -> "StGraph":
         return replace(self, weights=tuple(weights))
 
@@ -231,10 +225,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return self.connected and all(self.edge_on_st_path)
-
-    @property
-    def failing_edges(self) -> tuple[int, ...]:
-        return tuple(i for i, ok in enumerate(self.edge_on_st_path) if not ok)
 
 
 def _reach(adj: Sequence[Sequence[tuple[int, int]]], start: int) -> set[int]:
@@ -322,10 +312,6 @@ class GeodesicMetric:
     def d(self, u: int, v: int) -> Fraction:
         return self.dist[u][v]
 
-    def edge_distance(self, eidx: int) -> Fraction:
-        u, v = self.source.edges[eidx]
-        return self.dist[u][v]
-
     @cached_property
     def diameter(self) -> Fraction:
         return max(max(row) for row in self.dist)
@@ -381,23 +367,14 @@ def shortest_path_lex(g: StGraph, u: int, v: int,
     return tuple(path)
 
 
-def is_path_in(g: StGraph, p: Sequence[int]) -> bool:
-    if len(p) == 0:
-        return False
-    if len(set(p)) != len(p):
-        return False
-    return all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
-
-
-def require_path(g: StGraph, p: Sequence[int]) -> PathSeq:
-    if not is_path_in(g, p):
-        raise InvalidPath(f"{tuple(p)} is not a path of the graph")
-    return tuple(p)
-
-
 def path_length(g: StGraph, p: Sequence[int]) -> Fraction:
-    """Sum of edge weights along a path; a single vertex has length 0."""
-    require_path(g, p)
+    """Sum of edge weights along a path; a single vertex has length 0.
+
+    Raises InvalidPath when p is empty, revisits a vertex or steps along a
+    non-edge.
+    """
+    if not p or len(set(p)) != len(p):
+        raise InvalidPath(f"{tuple(p)} is not a path of the graph")
     return sum((g.weights[g.edge_index(a, b)] for a, b in zip(p, p[1:])),
                Fraction(0))
 
@@ -437,13 +414,13 @@ def cycle_edge_indices(g: StGraph, c: Sequence[int]) -> tuple[int, ...]:
     return found
 
 
-def cycle_metric_length(metric: GeodesicMetric, c: Sequence[int]) -> Fraction:
-    """Sum of metric edge lengths around the cycle."""
-    g = metric.source
-    total = Fraction(0)
-    for i in cycle_edge_indices(g, c):
-        total += metric.edge_distance(i)
-    return total
+def cycle_length(g: StGraph, c: Sequence[int]) -> Fraction:
+    """Sum of edge weights around the cycle.
+
+    In a strictly geodesic s-t graph every edge is a shortest path between
+    its ends, so this is also the cycle's metric length.
+    """
+    return sum((g.weights[i] for i in cycle_edge_indices(g, c)), Fraction(0))
 
 
 def enumerate_st_paths(g: StGraph) -> tuple[PathSeq, ...]:

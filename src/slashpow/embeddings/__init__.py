@@ -13,7 +13,6 @@ from .distortion import (
     lower_bound_c_nu,
     stochastic_distortion_of,
     truncated_distortion_bound,
-    truncated_expected_stretch,
 )
 from .frt import frt_embed, frt_tree
 from .lp import LPResult, solve_min
@@ -30,7 +29,6 @@ from .trees import (
     StochasticTreeEmbedding,
     TreeMap,
     identity_tree_map,
-    path_tree,
 )
 
 __all__ = [
@@ -54,10 +52,8 @@ __all__ = [
     "lower_bound_c_nu",
     "optimal_tree_weights",
     "oracle_min_expected_distortion",
-    "path_tree",
     "prufer_to_edges",
     "solve_min",
     "stochastic_distortion_of",
     "truncated_distortion_bound",
-    "truncated_expected_stretch",
 ]

@@ -203,17 +203,6 @@ def _truncated(power: SlashPower, tree: GeodesicTree, tmap: TreeMap
     return base, edge_dt, value
 
 
-def truncated_expected_stretch(power: SlashPower, tree: GeodesicTree,
-                               tmap: TreeMap) -> Fraction:
-    """Expectation of min(d_T(f(e))/d(e), (3/32) c0 / d(e)) over the power's
-    edge measure.
-
-    Requires the base's branch edges to weigh at most c0/4 <= 1/2 and the
-    map to be expansive.
-    """
-    return _truncated(power, tree, tmap)[2]
-
-
 @dataclass(frozen=True)
 class TruncatedBoundResult:
     value: Fraction

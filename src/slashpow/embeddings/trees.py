@@ -164,10 +164,3 @@ class StochasticTreeEmbedding:
 
     def __len__(self) -> int:
         return len(self.components)
-
-
-def path_tree(names: Sequence[str], weights: Sequence[Fraction]) -> GeodesicTree:
-    """Convenience: tree whose edges chain the vertices in the given order."""
-    return GeodesicTree(names=tuple(names),
-                        edges=tuple((i, i + 1) for i in range(len(names) - 1)),
-                        weights=tuple(weights))

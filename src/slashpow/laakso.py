@@ -30,7 +30,7 @@ from .core import (
     _scaled_distances,
     _str_digit_limit,
     cycle_edge_indices,
-    cycle_metric_length,
+    cycle_length,
     enumerate_cycles,
     enumerate_st_paths,
     is_normalized_geodesic_st,
@@ -77,10 +77,7 @@ class LaaksoBase:
     @cached_property
     def c0(self) -> Fraction:
         """Metric length of the branch cycle."""
-        total = ZERO
-        for ei in self.cycle_edge_ids:
-            total += self.graph.weights[ei]
-        return total
+        return cycle_length(self.graph, self.structure.cycle)
 
 
 def _require_balanced(p: LaaksoParams) -> tuple[int, int]:
@@ -368,8 +365,10 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
     cycles = enumerate_cycles(g)
     if not cycles:
         raise NoCycle("input graph is a path")
-    c0 = max(cycle_metric_length(g.metric, c) for c in cycles)
-    cycle0 = min((c for c in cycles if cycle_metric_length(g.metric, c) == c0))
+    # Strict geodesicity makes each cycle's weight sum its metric length.
+    lengths = [cycle_length(g, c) for c in cycles]
+    c0 = max(lengths)
+    cycle0 = min(c for c, length in zip(cycles, lengths) if length == c0)
     quarter = c0 / 4
 
     # Already small and balanced: nothing to do beyond attaching the measure.
@@ -428,9 +427,7 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
         nu[parent_ei] = small.nu[sub_ei]
     measure = MeasuredGraph(graph=power.graph.graph, nu=tuple(nu), restricted=True)
 
-    sub_cycle_len = sum(
-        (sub.graph.weights[ei]
-         for ei in cycle_edge_indices(sub.graph, sub.structure.cycle)), ZERO)
+    sub_cycle_len = cycle_length(sub.graph, sub.structure.cycle)
     if sub_cycle_len != c0:
         raise InputError(f"subgraph cycle has length {sub_cycle_len}, expected {c0}")
     if max(sub.graph.weights) > quarter:

@@ -34,8 +34,8 @@ def fraction_str(x: Fraction) -> str:
 
 
 def parse_fraction(raw: Any) -> Fraction:
-    """An exact rational from an int or from a string Fraction accepts
-    ("3/4", "-2", "1.5e-3").
+    """An exact rational from an int (not a bool) or from a string Fraction
+    accepts ("3/4", "-2", "1.5e-3").
 
     A decimal string whose digits plus exponent pass the int-to-str digit
     limit is refused before Fraction builds it: the value could not be
@@ -58,7 +58,7 @@ def parse_fraction(raw: Any) -> Fraction:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational {raw[:40]!r}") from exc
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     raise SchemaError(f"rational must be a string or integer, got {type(raw).__name__}")
 
@@ -147,9 +147,11 @@ def measured_from_dict(doc: dict) -> MeasuredGraph:
     if not isinstance(raw, list) or len(raw) != g.edge_count:
         raise SchemaError("measure must align with edges")
     nu = tuple(map(_parser(), raw))
+    restricted = doc.get("restricted", False)
+    if not isinstance(restricted, bool):
+        raise SchemaError(f"restricted must be true or false, got {restricted!r:.40}")
     try:
-        return MeasuredGraph(graph=g, nu=nu,
-                             restricted=bool(doc.get("restricted", False)))
+        return MeasuredGraph(graph=g, nu=nu, restricted=restricted)
     except Exception as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -251,17 +251,6 @@ def slash_power(mg: MeasuredGraph, n: int) -> SlashPower:
     return SlashPower(base=mg, n=n, levels=tuple(levels))
 
 
-def replace_edge(h: StGraph, eidx: int, g: StGraph) -> StGraph:
-    """Substitute a copy of the s-t graph g for edge eidx of h.
-
-    Copy weights are scaled by the weight of the replaced edge, so replacing
-    by a normalized graph preserves all path lengths through the edge.
-    """
-    if not (0 <= eidx < h.edge_count):
-        raise InputError(f"edge {eidx} out of range")
-    return _substitute(h, [eidx], g, lambda _, v: f"r{eidx}:{g.names[v]}")
-
-
 def _require_base_st_path(base: StGraph, p: Sequence[int]) -> None:
     if not p or p[0] != base.s or p[-1] != base.t:
         raise InvalidPath("choice must run from s to t of the base graph")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .constructions import LaaksoParams, MeasuredGraph, cycle_st_graph, uniform_laakso
-from .core import cycle_edge_indices
+from .core import cycle_edge_indices, cycle_length
 from .embeddings import (
     GeodesicTree,
     cycle_embedding_witness,
@@ -101,9 +101,7 @@ def cycle_count_suite() -> SuiteReport:
             g = power.graph.graph
             count_ok = len(cycles) == count_max_cycles(p, n)
             size_ok = all(len(c) == max_cycle_edge_count(p, n) for c in cycles)
-            length_ok = all(
-                sum((g.weights[ei] for ei in cycle_edge_indices(g, c)), Fraction(0))
-                == base.c0 for c in cycles)
+            length_ok = all(cycle_length(g, c) == base.c0 for c in cycles)
             per_edge = [0] * g.edge_count
             for c in cycles:
                 for ei in cycle_edge_indices(g, c):

@@ -9,6 +9,7 @@ from slashpow.constructions import (
     uniform_laakso,
 )
 from slashpow.core import StGraph
+from slashpow.embeddings import GeodesicTree
 from slashpow.verify import unit_cycle_measured  # noqa: F401  (shared fixture)
 
 
@@ -32,6 +33,13 @@ def weighted0230() -> MeasuredGraph:
 def unit_cycle(n: int) -> StGraph:
     m = n // 2
     return cycle_st_graph([1] * m, [1] * (n - m))
+
+
+def path_tree(names, weights) -> GeodesicTree:
+    """Tree whose edges chain the vertices in the given order."""
+    return GeodesicTree(names=tuple(names),
+                        edges=tuple((i, i + 1) for i in range(len(names) - 1)),
+                        weights=tuple(weights))
 
 
 def theta() -> MeasuredGraph:

@@ -193,6 +193,20 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert main(["export-dot", "--graph", str(nomeasure)]) == EXIT_OK
 
 
+def test_schema_flags_and_booleans_exit_3(tmp_path, diamond_file):
+    doc = json.loads(diamond_file.read_text())
+    bad = tmp_path / "bad.json"
+    # A string flag does not make a measure restricted.
+    doc["measure"], doc["restricted"] = ["1/2", "1/2", "0", "0"], "false"
+    bad.write_text(json.dumps(doc))
+    assert main(["oracle", "--graph", str(bad)]) == EXIT_INPUT
+    # A JSON boolean is not a weight.
+    del doc["measure"], doc["restricted"]
+    doc["edges"][0][2] = True
+    bad.write_text(json.dumps(doc))
+    assert main(["export-dot", "--graph", str(bad)]) == EXIT_INPUT
+
+
 def test_verify_cor42(capsys):
     assert main(["verify", "--suite", "cor42", "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)

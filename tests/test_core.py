@@ -60,7 +60,7 @@ def test_validate_flags_backward_edge():
                 weights=(F(1), F(1), F(1), F(1)), s=0, t=2)
     report = validate_st_graph(g)
     assert not report.ok
-    assert report.failing_edges == (3,)
+    assert report.edge_on_st_path == (True, True, True, False)
     assert report.connected
 
 
@@ -71,7 +71,7 @@ def test_validate_exhaustive_fallback():
                 edges=((0, 1), (1, 2), (2, 3), (2, 0)),
                 weights=(F(1),) * 4, s=0, t=3)
     report = validate_st_graph(g)
-    assert report.failing_edges == (3,)
+    assert report.edge_on_st_path == (True, True, True, False)
 
 
 def test_geodesic_metric_examples():
@@ -204,7 +204,7 @@ def test_st_path_partial_sums():
         for p in enumerate_st_paths(g):
             acc = [F(0)]
             for a, b in zip(p, p[1:]):
-                acc.append(acc[-1] + g.weight_between(a, b))
+                acc.append(acc[-1] + path_length(g, (a, b)))
             for i in range(len(p)):
                 for j in range(i + 1, len(p)):
                     assert m.d(p[i], p[j]) == acc[j] - acc[i]
@@ -216,6 +216,8 @@ def test_path_length():
     d = diamond().graph
     assert path_length(d, (0, 1, 3)) == 1
     assert path_length(d, (0,)) == 0
+    with pytest.raises(InvalidPath):
+        path_length(d, ())
     with pytest.raises(InvalidPath):
         path_length(d, (0, 3))
     with pytest.raises(InvalidPath):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import slashpow as sp
-from helpers import diamond, laakso1221, unit_cycle
+from helpers import diamond, laakso1221, path_tree, unit_cycle
 from slashpow.core import geodesic_metric
 from slashpow.embeddings import (
     GeodesicTree,
@@ -19,10 +19,8 @@ from slashpow.embeddings import (
     identity_tree_map,
     lower_bound_c_nu,
     oracle_min_expected_distortion,
-    path_tree,
     stochastic_distortion_of,
     truncated_distortion_bound,
-    truncated_expected_stretch,
 )
 from slashpow.errors import EdgeSizeViolation, InputError, NotExpansive
 from slashpow.laakso import enumerate_max_cycles
@@ -135,7 +133,7 @@ def test_cycle_witness_unit_cycles():
     tree = path_tree(c4.names, (F(1),) * 3)
     ei, (u, v) = cycle_embedding_witness(c4, tree, identity_tree_map(4))
     metric = geodesic_metric(c4)
-    c0 = sum((metric.edge_distance(i) for i in range(4)), F(0))
+    c0 = sum((metric.d(a, b) for a, b in c4.edges), F(0))
     assert tree.distance(u, v) >= (c0 - metric.d(u, v)) / 8
 
 
@@ -150,7 +148,7 @@ def test_cycle_witness_weighted_two_arc():
     assert ok
     ei, (u, v) = cycle_embedding_witness(g, tree, tmap)
     metric = geodesic_metric(g)
-    c0 = sum((metric.edge_distance(i) for i in range(4)), F(0))
+    c0 = sum((metric.d(a, b) for a, b in g.edges), F(0))
     assert tree.distance(u, v) >= (c0 - metric.d(u, v)) / 8
 
 
@@ -173,11 +171,10 @@ def test_truncated_stretch_diamond_oracle_tree():
     mg = diamond()
     power = slash_power(mg, 1)
     res = oracle_min_expected_distortion(mg)
-    value = truncated_expected_stretch(power, res.tree, res.tree_map)
+    out = truncated_distortion_bound(power, res.tree, res.tree_map)
     # Every edge ratio is at least 1 and the truncation cap is
     # (3/32) * 2 / (1/2) = 3/8, so the expectation is exactly 3/8.
-    assert value == F(3, 8)
-    out = truncated_distortion_bound(power, res.tree, res.tree_map)
+    assert out.value == F(3, 8)
     assert out.holds and out.bound == F(3, 64)
 
 
@@ -195,7 +192,7 @@ def test_truncated_stretch_edge_size_violation():
     power = slash_power(skew, 1)
     res_tree = path_tree(("a", "b"), (F(1),))
     with pytest.raises(EdgeSizeViolation):
-        truncated_expected_stretch(power, res_tree, TreeMap((0,) * 4))
+        truncated_distortion_bound(power, res_tree, TreeMap((0,) * 4))
 
 
 def test_truncated_bound_seeded_trees_both_bases():
@@ -226,3 +223,13 @@ def test_distortion_report_rows():
     assert len(rep.rows) == 6
     assert rep.worst_stretch >= 1
     assert all(stretch >= 1 for *_, stretch in rep.rows)
+
+
+def test_embeddings_all_lists_exactly_the_public_names():
+    import types
+
+    import slashpow.embeddings as emb
+    bound = {name for name, value in vars(emb).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(emb.__all__)) == len(emb.__all__)
+    assert set(emb.__all__) == bound

@@ -330,6 +330,33 @@ def test_pipeline_normalized_four_cycle():
     assert r.c0 == 2
 
 
+PIPELINE_INPUTS = {
+    "0,2,4,0": lambda: uniform_laakso((0, 2, 4, 0)),
+    "0,2,3,0": laakso0230,
+    "diamond": diamond,
+    "theta": theta,
+    "normalized 4-cycle": lambda: sp.build_cycle([F(1, 2)] * 2, [F(1, 2)] * 2),
+    "normalized 1200-cycle": lambda: sp.build_cycle([F(1, 600)] * 600,
+                                                    [F(1, 600)] * 600),
+}
+
+
+@pytest.mark.parametrize("make", PIPELINE_INPUTS.values(), ids=PIPELINE_INPUTS)
+def test_pipeline_inputs_have_geodesic_edges(make):
+    # The pipeline reads c0 as a cycle's weight sum: on a strictly geodesic
+    # input every edge is a shortest path between its ends.
+    g = make().graph
+    assert sp.is_strictly_geodesic_st(g)
+    assert all(g.metric.d(u, v) == w for (u, v), w in zip(g.edges, g.weights))
+
+
+def test_pipeline_builds_no_all_pairs_metric_of_its_input():
+    for mg in (sp.build_cycle([F(1, 2)] * 2, [F(1, 2)] * 2),
+               sp.build_cycle([F(1, 2)] * 2, [F(1, 3)] * 3)):
+        assert balanced_laakso_pipeline(mg).c0 == 2
+        assert "metric" not in mg.graph.__dict__
+
+
 def test_pipeline_path_errors():
     with pytest.raises(NoCycle):
         balanced_laakso_pipeline(sp.build_path([F(1, 2), F(1, 2)]))

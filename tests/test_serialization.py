@@ -121,6 +121,36 @@ def test_loads_refuses_malformed_documents():
         ser.graph_from_dict(doc)
 
 
+def test_booleans_are_not_rationals():
+    # bool is an int subclass: true would otherwise read as weight 1.
+    for raw in (True, False):
+        with pytest.raises(SchemaError):
+            ser.parse_fraction(raw)
+    doc = json.loads(ser.dumps(diamond()))
+    doc["edges"][0][2] = True
+    with pytest.raises(SchemaError):
+        ser.loads(json.dumps(doc))
+    doc = json.loads(ser.dumps(diamond()))
+    doc["measure"] = ["1/2", "1/2", False, False]
+    doc["restricted"] = True
+    with pytest.raises(SchemaError):
+        ser.loads(json.dumps(doc))
+
+
+def test_restricted_must_be_a_json_boolean():
+    doc = json.loads(ser.dumps(diamond()))
+    doc["measure"] = ["1/2", "1/2", "0", "0"]
+    for flag in ("false", "true", 1, 0, None, []):
+        doc["restricted"] = flag
+        with pytest.raises(SchemaError):
+            ser.loads(json.dumps(doc))
+    doc["restricted"] = False
+    with pytest.raises(SchemaError):  # zero measure values need the flag
+        ser.loads(json.dumps(doc))
+    doc["restricted"] = True
+    assert ser.loads(json.dumps(doc)).restricted
+
+
 # --- the writer against json.dumps ------------------------------------------
 
 def _reference_doc(obj):

@@ -19,7 +19,6 @@ from slashpow.core import (
     geodesic_metric,
     is_normalized_geodesic_st,
     path_length,
-    validate_st_graph,
 )
 from slashpow.errors import CapExceeded, InputError, InvalidPath, NotNormalized
 from slashpow.slash import (
@@ -27,7 +26,6 @@ from slashpow.slash import (
     associativity_isomorphism_check,
     lift_cycle,
     lift_path,
-    replace_edge,
     slash_power,
     slash_product,
 )
@@ -253,24 +251,6 @@ def test_subgraph_power_embeds_isometrically():
         assert m_sub.d(u, v) == m_big.d(into_big(u), into_big(v))
 
 
-def test_replace_edge():
-    d = diamond().graph
-    two_path = build_path([F(1, 2), F(1, 2)]).graph
-    out = replace_edge(d, 0, two_path)
-    assert out.vertex_count == 5
-    assert out.edge_count == 5
-    assert validate_st_graph(out).ok
-
-    single = build_path([F(1)]).graph
-    assert graphs_isometric(replace_edge(single, 0, d), d)
-    # Replacing by a normalized single edge is the identity up to naming.
-    same = replace_edge(d, 1, single)
-    assert graphs_isometric(same, d)
-
-    with pytest.raises(Exception):
-        replace_edge(d, 99, single)
-
-
 def test_associativity():
     assert associativity_isomorphism_check(single_edge())
     assert associativity_isomorphism_check(diamond())
@@ -293,7 +273,7 @@ def test_lift_path():
     assert path_length(g2, lifted) == 1
 
     # Lifting the base cycle by branch routes yields an 8-edge cycle.
-    base_cycle = sp.find_any_cycle(g1)
+    base_cycle = sp.enumerate_cycles(g1)[0]
     cyc = lift_cycle(pw, 1, base_cycle, [route] * 4)
     assert len(cyc) == 8
     from slashpow.core import cycle_edge_indices
@@ -307,7 +287,7 @@ def test_lift_cycle_checks_the_level():
     d = diamond()
     pw = slash_power(d, 2)
     route = enumerate_st_paths(d.graph)[0]
-    cycle = sp.find_any_cycle(d.graph)
+    cycle = sp.enumerate_cycles(d.graph)[0]
     for level in (-1, 0, pw.n):
         with pytest.raises(InputError, match="cannot lift from level"):
             lift_cycle(pw, level, cycle, [route] * len(cycle))
