@@ -6,22 +6,24 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Sequence
 
 from .core import (
     CycleSeq,
     PathSeq,
     StGraph,
+    _simple_paths,
     as_weight,
     concat_paths,
+    cycle_edge_indices,
     edge_cap,
-    is_cycle_in,
     path_length,
     shortest_path_lex,
     single_source_distances,
     validate_st_graph,
 )
-from .errors import CapExceeded, InputError, InvalidPath, NoBalancedSplit, NotLaakso
+from .errors import CapExceeded, InputError, NoBalancedSplit, NotLaakso
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -276,6 +278,8 @@ def build_laakso_subgraph(g: StGraph, stem: Sequence[int], arc1: Sequence[int],
         if len(set(seg)) != len(seg):
             raise NotLaakso("segment revisits a vertex")
     u, v = segments[0][-1], segments[3][0]
+    if any(arc[:1] + arc[-1:] != (u, v) for arc in segments[1:3]):
+        raise NotLaakso("branches do not join the two junctions")
     if set(segments[1]) & set(segments[2]) != {u, v}:
         raise NotLaakso("branches share interior vertices")
     ends = set(segments[0]) | set(segments[3])
@@ -315,7 +319,6 @@ def build_laakso_subgraph(g: StGraph, stem: Sequence[int], arc1: Sequence[int],
         branch2=tuple(to_new[v] for v in arc2),
         tail=tuple(to_new[v] for v in tail),
     )
-    _check_structure(sub, structure)
     return LaaksoSubgraph(graph=sub, structure=structure,
                           parent_vertices=tuple(used),
                           parent_edges=tuple(parent_edges))
@@ -343,8 +346,7 @@ def laakso_from_cycle(g: StGraph, cycle: Sequence[int]) -> LaaksoSubgraph:
     (nearest vertex, shortest path) resolve to the lexicographically smallest
     choice.
     """
-    if not is_cycle_in(g, cycle):
-        raise InvalidPath(f"{tuple(cycle)} is not a cycle of the graph")
+    cycle_edge_indices(g, cycle)  # raises InvalidPath on a non-cycle
     stem, tail = _stem_and_tail(g, cycle)
     y, z = stem[-1], tail[0]
     if y == z:
@@ -357,90 +359,39 @@ def laakso_from_cycle(g: StGraph, cycle: Sequence[int]) -> LaaksoSubgraph:
     jz = rot.index(z)
     arc_a: PathSeq = tuple(rot[:jz + 1])
     arc_b: PathSeq = (rot[0],) + tuple(reversed(rot[jz:]))
-    if len(arc_a) < 2 or len(arc_b) < 2:
-        raise NotLaakso("degenerate arc")
-
-    overlap_a = (set(stem) | set(tail)) & set(arc_a)
-    overlap_b = (set(stem) | set(tail)) & set(arc_b)
-    if overlap_a - {y, z} or overlap_b - {y, z} or (set(stem) & set(tail)):
-        raise NotLaakso("attachment paths re-enter the cycle; "
-                        "input is not a geodesic s-t graph")
     return build_laakso_subgraph(g, stem, arc_a, arc_b, tail)
-
-
-def _check_structure(g: StGraph, st: LaaksoStructure) -> None:
-    p = st.params
-    if (len(st.stem), len(st.branch1), len(st.branch2), len(st.tail)) != (
-            p.k + 1, p.l1 + 1, p.l2 + 1, p.m + 1):
-        raise NotLaakso("segment lengths disagree with parameters")
-    if st.stem[0] != g.s or st.tail[-1] != g.t:
-        raise NotLaakso("segments do not span s to t")
-    u, v = st.stem[-1], st.tail[0]
-    if (st.branch1[0], st.branch1[-1]) != (u, v) or (st.branch2[0], st.branch2[-1]) != (u, v):
-        raise NotLaakso("branches do not join the two junctions")
-    if g.edge_count != p.edge_count:
-        raise NotLaakso("extra edges outside the four segments")
 
 
 def as_laakso(g: StGraph) -> LaaksoStructure:
     """Recognize the stem/branch/branch/tail shape of a validated s-t graph.
 
-    Branches are reported in discovery order (smaller first neighbor first);
-    either branch may be the longer one.
+    A validated s-t graph is a Laakso graph exactly when it has two directed
+    s-t paths: their common prefix is the stem, their common suffix the
+    tail, and their middle parts are the branches, in lexicographic path
+    order (smaller first neighbor first); either branch may be the longer
+    one.  The search stops at a third path.
     """
     if not validate_st_graph(g).ok:
         raise NotLaakso("graph fails s-t validation")
-
-    def walk_chain(start: int, first: Optional[int] = None) -> list[int]:
-        # Follow unique out-edges; stop before any vertex of in-degree 2.
-        path = [start]
-        cur = start
-        if first is not None:
-            path.append(first)
-            cur = first
-        while True:
-            if len(g.in_adj[cur]) > 1 and len(path) > 1:
-                return path
-            outs = g.out_adj[cur]
-            if len(outs) != 1:
-                return path
-            cur = outs[0][0]
-            path.append(cur)
-
-    stem = [g.s]
-    cur = g.s
-    while len(g.out_adj[cur]) == 1 and len(g.in_adj[g.out_adj[cur][0][0]]) == 1:
-        cur = g.out_adj[cur][0][0]
-        stem.append(cur)
-    u = stem[-1]
-    outs = g.out_adj[u]
-    if len(outs) != 2:
-        raise NotLaakso(f"junction {u} has out-degree {len(outs)}, expected 2")
-    b1 = walk_chain(u, outs[0][0])
-    b2 = walk_chain(u, outs[1][0])
-    if b1[-1] != b2[-1]:
-        raise NotLaakso("branches do not merge at a single vertex")
-    v = b1[-1]
-    tail = walk_chain(v)
-    if tail[-1] != g.t:
-        raise NotLaakso("tail does not end at t")
-    params = LaaksoParams(k=len(stem) - 1, l1=len(b1) - 1, l2=len(b2) - 1,
-                          m=len(tail) - 1)
-    structure = LaaksoStructure(params=params, stem=tuple(stem),
-                                branch1=tuple(b1), branch2=tuple(b2),
-                                tail=tuple(tail))
-    _check_structure(g, structure)
-    return structure
+    paths = _simple_paths(g.out_adj, g.s, stop=g.t)
+    routes = list(islice((tuple(p) for p in paths if p[-1] == g.t), 3))
+    if len(routes) != 2:
+        raise NotLaakso("a Laakso graph has exactly two directed s-t paths")
+    r1, r2 = routes
+    i = next(i for i, (a, b) in enumerate(zip(r1, r2)) if a != b)
+    j = next(j for j, (a, b) in enumerate(zip(r1[::-1], r2[::-1])) if a != b)
+    branch1, branch2 = r1[i - 1:len(r1) - j + 1], r2[i - 1:len(r2) - j + 1]
+    params = LaaksoParams(k=i - 1, l1=len(branch1) - 1, l2=len(branch2) - 1,
+                          m=j - 1)
+    return LaaksoStructure(params=params, stem=r1[:i], branch1=branch1,
+                           branch2=branch2, tail=r1[len(r1) - j:])
 
 
 def laakso_measure(g: StGraph, structure: LaaksoStructure) -> MeasuredGraph:
     """Standard measure for a Laakso-shaped graph: stem and tail edges carry
     w/d(s,t), branch edges half of that."""
     dst = path_length(g, structure.route1())
-    branch_ids = set()
-    for seg in (structure.branch1, structure.branch2):
-        for a, b in zip(seg, seg[1:]):
-            branch_ids.add(g.edge_index(a, b))
+    branch_ids = set(cycle_edge_indices(g, structure.cycle))  # both branches
     nu = tuple((HALF if i in branch_ids else Fraction(1)) * w / dst
                for i, w in enumerate(g.weights))
     return MeasuredGraph(graph=g, nu=nu)

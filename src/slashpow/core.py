@@ -1,12 +1,12 @@
 """Weighted s-t graphs, exact geodesic metrics, and path primitives.
 
-All weights and distances are `fractions.Fraction` at the interface;
-inside, shortest paths run on integers over one common denominator, and
-the all-pairs metric stores only those integers and the denominator
-(`GeodesicMetric.rows` and `.scale`).  Nothing in this module touches
-floating point.  Vertices are integer indices into a name table; display
-names travel through constructions for debugging but are excluded from
-equality.
+Weights are `fractions.Fraction`s.  Shortest paths run on integers over
+one common denominator, `StGraph.weight_scale`: `single_source_distances`
+returns those integers, and the all-pairs metric stores only them and the
+denominator (`GeodesicMetric.rows` and `.scale`).  Nothing in this module
+touches floating point.  Vertices are integer indices into a name table;
+display names travel through constructions for debugging but are excluded
+from equality.
 """
 
 from __future__ import annotations
@@ -317,10 +317,11 @@ class GeodesicMetric:
         return max(max(row) for row in self.dist)
 
 
-def _scaled_distances(g: StGraph, src: int) -> tuple[int, ...]:
-    """Dijkstra over the undirected graph on g.int_weights, so distances
-    are weight_scale times the exact ones; ties resolve by smallest vertex
-    id.  Scaling by a positive integer keeps the heap order."""
+def single_source_distances(g: StGraph, src: int) -> tuple[int, ...]:
+    """Distances from src to every vertex, times g.weight_scale: Dijkstra
+    over the undirected graph on g.int_weights, so every distance is an
+    exact integer; ties resolve by smallest vertex id.  Scaling by a
+    positive integer keeps the heap order."""
     dist: list[Optional[int]] = [None] * g.vertex_count
     heap: list[tuple[int, int]] = [(0, src)]
     adj, weights = g.und_adj, g.int_weights
@@ -337,28 +338,24 @@ def _scaled_distances(g: StGraph, src: int) -> tuple[int, ...]:
     return tuple(dist)  # type: ignore[arg-type]
 
 
-def single_source_distances(g: StGraph, src: int) -> tuple[Fraction, ...]:
-    """Exact distances from src to every vertex."""
-    scale = g.weight_scale
-    return tuple(Fraction(x, scale) for x in _scaled_distances(g, src))
-
-
 def geodesic_metric(g: StGraph) -> GeodesicMetric:
     """All-pairs distances over the graph's weight_scale."""
     return GeodesicMetric(source=g, scale=g.weight_scale, rows=tuple(
-        _scaled_distances(g, u) for u in range(g.vertex_count)))
+        single_source_distances(g, u) for u in range(g.vertex_count)))
 
 
 def shortest_path_lex(g: StGraph, u: int, v: int,
-                      dist_to_v: Sequence[Fraction]) -> PathSeq:
+                      dist_to_v: Sequence[int]) -> PathSeq:
     """Lexicographically smallest among minimum-weight u-v paths (undirected),
-    given the distances dist_to_v from every vertex to v."""
+    given the distances dist_to_v from every vertex to v, times
+    g.weight_scale (as single_source_distances returns them)."""
     path = [u]
     w = u
+    weights = g.int_weights
     while w != v:
         remaining = dist_to_v[w]
         for x, ei in g.und_adj[w]:  # ascending, so first hit is lex-least
-            if g.weights[ei] + dist_to_v[x] == remaining:
+            if weights[ei] + dist_to_v[x] == remaining:
                 path.append(x)
                 w = x
                 break
@@ -387,14 +384,6 @@ def concat_paths(a: Sequence[int], b: Sequence[int]) -> PathSeq:
     if len(set(joined)) != len(joined):
         raise InvalidPath("concatenation revisits a vertex")
     return joined
-
-
-def is_cycle_in(g: StGraph, c: Sequence[int]) -> bool:
-    try:
-        cycle_edge_indices(g, c)
-    except InvalidPath:
-        return False
-    return True
 
 
 def cycle_edge_indices(g: StGraph, c: Sequence[int]) -> tuple[int, ...]:

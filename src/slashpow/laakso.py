@@ -27,7 +27,6 @@ from .core import (
     CycleSeq,
     PathSeq,
     StGraph,
-    _scaled_distances,
     _str_digit_limit,
     cycle_edge_indices,
     cycle_length,
@@ -37,6 +36,7 @@ from .core import (
     is_strictly_geodesic_st,
     path_cap,
     path_length,
+    single_source_distances,
 )
 from .errors import (
     CapExceeded,
@@ -68,11 +68,7 @@ class LaaksoBase:
 
     @cached_property
     def cycle_edge_ids(self) -> frozenset[int]:
-        ids: set[int] = set()
-        for seg in (self.structure.branch1, self.structure.branch2):
-            for a, b in zip(seg, seg[1:]):
-                ids.add(self.graph.edge_index(a, b))
-        return frozenset(ids)
+        return frozenset(cycle_edge_indices(self.graph, self.structure.cycle))
 
     @cached_property
     def c0(self) -> Fraction:
@@ -438,16 +434,17 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
 
 
 def _spot_check_isometry(big: StGraph, sub: LaaksoSubgraph) -> None:
-    """Induced distances from 8 subgraph vertices must equal the ambient
-    restriction; deterministic choice of sources spread over the segments."""
+    """Induced distances from the subgraph vertices range(0, nv, max(1,
+    nv // 8)) must equal the ambient restriction: all nv of them when
+    nv < 16, otherwise 8 to 12 spread evenly over the vertex ids."""
     small = sub.graph
     big_scale, small_scale = big.weight_scale, small.weight_scale
     nv = small.vertex_count
     step = max(1, nv // 8)
     for u in range(0, nv, step):
         # d_small(u, v) == d_big, cross-multiplied by both scales
-        ambient = _scaled_distances(big, sub.parent_vertices[u])
-        row = _scaled_distances(small, u)
+        ambient = single_source_distances(big, sub.parent_vertices[u])
+        row = single_source_distances(small, u)
         for v in range(nv):
             if row[v] * big_scale != ambient[sub.parent_vertices[v]] * small_scale:
                 raise InputError(

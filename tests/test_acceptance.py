@@ -111,7 +111,7 @@ def test_criterion_5_balanced_witness():
         pu, pv = sub.parent_vertices[u], sub.parent_vertices[v]
         if pu not in cache:
             cache[pu] = single_source_distances(g, pu)
-        assert small_metric.d(u, v) == cache[pu][pv]
+        assert small_metric.d(u, v) == F(cache[pu][pv], g.weight_scale)
         checked += 1
     _report(5, 60.0, time.monotonic() - t0,
             "(0,2,3,0): n0=3, i=0, arc table (6,6,12,18); balanced witness "

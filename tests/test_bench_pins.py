@@ -1,0 +1,71 @@
+"""The benchmark's pinned counts must keep reading the library.
+
+bench/tracer.py wraps library functions by name, and bench/run.py checks
+exact counts read from their spans.  A renamed function, or a caller that
+goes around the wrapped one, would make a pinned count read 0 only in a
+traced benchmark run; these checks see it in the test suite.  They run in a
+subprocess, so the tracer's wrappers reach no other test.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The span whose hook produces each pinned counter; a pinned `.calls` metric
+# reads the span of its own name.
+COUNTER_SPANS = {
+    "laakso.cycles_enumerated": "laakso.enumerate_max_cycles",
+    "slash.edges_materialized": "slash.slash_power",
+}
+
+PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import run, tracer
+import slashpow.core as core
+from slashpow import diamond, slash_power
+
+rec = tracer.Recorder()
+report = tracer.install(rec)
+g = slash_power(diamond(), 2).graph.graph
+core.geodesic_metric(g)
+print(json.dumps({
+    "pinned": sorted({name for _, name in run.PINNED}),
+    "missing": report["missing"],
+    "calls": {name: rec.name_ids.count(i) for i, name in enumerate(rec.names)},
+    "counters": rec.counters,
+    "n": g.vertex_count,
+}))
+"""
+
+
+def run_probe() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", PROBE, str(ROOT / "bench")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_every_pinned_count_reads_a_wrapped_function():
+    probe = run_probe()
+    spans = set()
+    for name in probe["pinned"]:
+        if name.endswith(".calls"):
+            spans.add(name[:-len(".calls")])
+        else:
+            assert name in COUNTER_SPANS, f"no span known for pinned {name}"
+            spans.add(COUNTER_SPANS[name])
+    assert spans == {"oracle.optimal_tree_weights", "lp.solve_min", "frt.frt_tree",
+                     "laakso.enumerate_max_cycles", "slash.slash_power"}
+    assert not spans & set(probe["missing"])
+
+    # The all-pairs metric runs one traced Dijkstra per vertex.
+    n = probe["n"]
+    assert probe["calls"]["core.geodesic_metric"] == 1
+    assert probe["calls"]["core.single_source_distances"] == n
+    assert probe["counters"]["core.vertices_settled"] == n * n

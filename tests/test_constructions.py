@@ -1,5 +1,8 @@
+import itertools
+import random
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,17 +11,20 @@ import slashpow as sp
 from helpers import all_pairs, diamond, laakso1221, three_branch, unit_cycle
 from slashpow.constructions import (
     LaaksoParams,
+    LaaksoStructure,
     as_laakso,
     build_cycle,
     build_laakso,
+    build_laakso_subgraph,
     build_path,
     laakso_from_cycle,
     uniform_laakso,
 )
 from slashpow.core import (
+    StGraph,
+    cycle_edge_indices,
     enumerate_cycles,
     geodesic_metric,
-    is_cycle_in,
     is_normalized_geodesic_st,
     normalize,
     validate_st_graph,
@@ -123,7 +129,7 @@ def test_laakso_measure_sums_to_one(data):
 def test_enumerate_cycles_on_a_long_cycle():
     g = unit_cycle(1500)
     (c,) = enumerate_cycles(g)
-    assert len(c) == 1500 and is_cycle_in(g, c)
+    assert len(c) == 1500 and len(cycle_edge_indices(g, c)) == 1500
 
 
 def test_laakso_from_cycle_identity_cases():
@@ -200,3 +206,74 @@ def test_as_laakso_roundtrip():
         assert st_l.params == LaaksoParams(*params)
         assert st_l.stem[0] == mg.graph.s
         assert st_l.tail[-1] == mg.graph.t
+
+
+def test_as_laakso_reads_the_construction_segments():
+    # Stem x0..xk, the y1_* and y2_* branches between x_k and z0, tail z0..zm;
+    # the branch whose first vertex has the smaller id comes first.
+    for k, l1, l2, m in itertools.product(range(4), range(1, 5), range(1, 5), range(4)):
+        if l1 + l2 < 3:
+            continue
+        g = uniform_laakso((k, l1, l2, m)).graph
+        at = {name: i for i, name in enumerate(g.names)}
+        (b1, n1), (b2, n2) = sorted(
+            (tuple(at[x] for x in (f"x{k}", *(f"y{b}_{i}" for i in range(1, l)), "z0")), l)
+            for b, l in ((1, l1), (2, l2)))
+        assert as_laakso(g) == LaaksoStructure(
+            params=LaaksoParams(k, n1, n2, m),
+            stem=tuple(at[f"x{i}"] for i in range(k + 1)), branch1=b1, branch2=b2,
+            tail=tuple(at[f"z{i}"] for i in range(m + 1)))
+
+
+def random_route_union(rng: random.Random) -> StGraph:
+    """One to three random 0-(n-1) vertex paths on at most 8 vertices, maybe
+    one more edge, and about a fifth of the edges reversed, so directed
+    cycles and edges off every s-t path occur."""
+    n = rng.randint(2, 8)
+    edges: dict[tuple[int, int], None] = {}
+    for _ in range(rng.randint(1, 3)):
+        route = [0, *rng.sample(range(1, n - 1), rng.randint(0, n - 2)), n - 1]
+        for u, v in zip(route, route[1:]):
+            if (v, u) not in edges:
+                edges[u, v] = None
+    u, v = rng.sample(range(n), 2)
+    if rng.random() < 0.3 and (u, v) not in edges and (v, u) not in edges:
+        edges[u, v] = None
+    oriented = tuple((v, u) if rng.random() < 0.2 else (u, v) for u, v in edges)
+    return StGraph(names=tuple(map(str, range(n))), edges=oriented,
+                   weights=(F(1),) * len(oriented), s=0, t=n - 1)
+
+
+def test_as_laakso_accepts_exactly_the_two_route_graphs():
+    rng = random.Random(18)
+    accepted = rejected = 0
+    for _ in range(3000):
+        g = random_route_union(rng)
+        dg = nx.DiGraph(g.edges)
+        routes = itertools.islice(nx.all_simple_paths(dg, g.s, g.t), 3)
+        if not (validate_st_graph(g).ok and len(list(routes)) == 2):
+            with pytest.raises(NotLaakso):
+                as_laakso(g)
+            rejected += 1
+            continue
+        shape = as_laakso(g)
+        sub = build_laakso_subgraph(g, shape.stem, shape.branch1, shape.branch2,
+                                    shape.tail)
+        back = sub.parent_vertices
+        assert {(back[a], back[b]) for a, b in sub.graph.edges} == set(g.edges)
+        accepted += 1
+    assert accepted >= 100 and rejected >= 100
+
+
+@pytest.mark.parametrize("arc1", [
+    lambda b: b[::-1],      # runs from the tail's junction to the stem's
+    lambda b: b[:-1],       # stops short of the tail's junction
+    lambda b: b[:1],        # the stem's junction alone
+    lambda b: (),
+], ids=["reversed", "short", "junction", "empty"])
+def test_build_laakso_subgraph_needs_branches_between_the_junctions(arc1):
+    g = laakso1221().graph
+    shape = as_laakso(g)
+    with pytest.raises(NotLaakso):
+        build_laakso_subgraph(g, shape.stem, arc1(shape.branch1), shape.branch2,
+                              shape.tail)

@@ -269,7 +269,7 @@ def test_find_balanced_0230():
         pu, pv = sub.parent_vertices[u], sub.parent_vertices[v]
         if pu not in by_source:
             by_source[pu] = single_source_distances(g, pu)
-        assert small_m.d(u, v) == by_source[pu][pv]
+        assert small_m.d(u, v) == F(by_source[pu][pv], g.weight_scale)
 
 
 def test_find_balanced_0240():
@@ -394,7 +394,7 @@ def test_pipeline_theta():
         pu, pv = sub.parent_vertices[u], sub.parent_vertices[v]
         if pu not in cache:
             cache[pu] = single_source_distances(g, pu)
-        assert small_m.d(u, v) == cache[pu][pv]
+        assert small_m.d(u, v) == F(cache[pu][pv], g.weight_scale)
 
 
 def test_pipeline_big_laakso_weights():
