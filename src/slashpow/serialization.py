@@ -11,6 +11,11 @@ Weights are exact rational strings and round-trip bit-for-bit.  A measured
 graph adds ``"measure": ["num/den", ...]`` aligned with ``edges`` and an
 optional ``"restricted": true`` marker for measures that vanish on part of
 the edge set.
+
+`loads` reads a document one top-level member at a time: the members may
+come in any order, unknown keys (such as a power's ``edge_labels``) are
+ignored, a key that appears twice is refused, and at most one raw member is
+held beside the graph being built.
 """
 
 from __future__ import annotations
@@ -19,12 +24,15 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain, repeat
+from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .constructions import MeasuredGraph
 from .core import StGraph, _str_digit_limit
-from .errors import SchemaError
+from .errors import InputError, SchemaError
 
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
@@ -63,109 +71,221 @@ def parse_fraction(raw: Any) -> Fraction:
     raise SchemaError(f"rational must be a string or integer, got {type(raw).__name__}")
 
 
-def _parser() -> Callable[[Any], Fraction]:
-    """parse_fraction, run once per distinct string: equal strings give one
-    Fraction object."""
-    parsed: dict[str, Fraction] = {}
+# --- reading -----------------------------------------------------------------
+#
+# A graph document is read one top-level member at a time: json's own C
+# scanner decodes each member's value, the value becomes compact columns
+# (the name index, integer vertex ids, one Fraction per distinct rational)
+# and is dropped before the next member is decoded.  So a reader holds the
+# text, the graph built so far and at most one raw member; json.loads would
+# hold every member at once, with a new string per name occurrence.
+#
+# The checks run on whole columns.  Only when one fails does a row-by-row
+# pass look for the first bad row, so the error names the row that a reader
+# going row by row stops at.
 
-    def parse(raw: Any) -> Fraction:
-        if not isinstance(raw, str):
-            return parse_fraction(raw)
-        x = parsed.get(raw)
-        if x is None:
-            x = parsed[raw] = parse_fraction(raw)
-        return x
-
-    return parse
-
-
-def _require(doc: dict, key: str) -> Any:
-    if key not in doc:
-        raise SchemaError(f"missing key {key!r}")
-    return doc[key]
+_scan = make_scanner(json.JSONDecoder())
+_skip = WHITESPACE.match
 
 
-def graph_from_dict(doc: dict) -> StGraph:
-    if not isinstance(doc, dict):
+def _read_object(text: str, take: Callable[[str, Any], None]) -> None:
+    """Pass each member of the JSON object `text` to `take` as it is decoded.
+
+    Raises ValueError (json's JSONDecodeError or an int past the digit
+    limit) or RecursionError where json.loads would."""
+    end = _skip(text).end()
+    if text[end:end + 1] != "{":
+        json.loads(text)  # its own error, or a valid document of another kind
         raise SchemaError("top-level JSON value must be an object")
-    names = _require(doc, "vertices")
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise SchemaError("vertices must be a list of names")
-    if len(set(names)) != len(names):
-        raise SchemaError("vertex names must be unique")
-    index = {name: i for i, name in enumerate(names)}
+    end = _skip(text, end + 1).end()
+    if text[end:end + 1] == "}":
+        end += 1
+    else:
+        while True:
+            if text[end:end + 1] != '"':
+                raise JSONDecodeError("Expecting property name enclosed in double quotes",
+                                      text, end)
+            key, end = scanstring(text, end + 1)
+            end = _skip(text, end).end()
+            if text[end:end + 1] != ":":
+                raise JSONDecodeError("Expecting ':' delimiter", text, end)
+            try:
+                value, end = _scan(text, _skip(text, end + 1).end())
+            except StopIteration as exc:
+                raise JSONDecodeError("Expecting value", text, exc.value) from None
+            take(key, value)
+            del value  # before the next member is decoded
+            end = _skip(text, end).end()
+            if text[end:end + 1] == "}":
+                end += 1
+                break
+            if text[end:end + 1] != ",":
+                raise JSONDecodeError("Expecting ',' delimiter", text, end)
+            end = _skip(text, end + 1).end()
+    end = _skip(text, end).end()
+    if end != len(text):
+        raise JSONDecodeError("Extra data", text, end)
 
-    def vid(name: Any) -> int:
-        if not isinstance(name, str) or name not in index:
+
+def _parse_column(raw: list) -> list[Fraction]:
+    """parse_fraction of every item, in order.  Strings and ints are parsed
+    once per distinct value, so equal strings give one Fraction object."""
+    if set(map(type, raw)) <= {str, int}:
+        parsed = {x: parse_fraction(x) for x in dict.fromkeys(raw)}
+        return list(map(parsed.__getitem__, raw))
+    return list(map(parse_fraction, raw))  # raises at the first bad item
+
+
+def _pair_key(n: int, u: int, v: int) -> int:
+    """One int per unordered pair of vertex ids below n: an edge row and its
+    reversal get the same key."""
+    return u * n + v if u < v else v * n + u
+
+
+class _Document:
+    """A graph document read member by member.
+
+    A member that needs another one first waits raw in `held`: edges need
+    the vertices, and the orientation and the measure need the edges.  The
+    checks run as each member is read; the graph is built by `finish`."""
+
+    def __init__(self) -> None:
+        self.seen: set[str] = set()
+        self.held: dict[str, Any] = {}
+        self.names: tuple[str, ...] = ()
+        self.index: Optional[dict[str, int]] = None
+        # tail ids, head ids and weights of the edge rows, once they are read
+        self.edge_rows: Optional[tuple[list[int], list[int], list[Fraction]]] = None
+        self.edges: tuple[tuple[int, int], ...] = ()
+        self.weights: tuple[Fraction, ...] = ()
+        self.nu: tuple[Fraction, ...] = ()
+
+    def take(self, key: str, value: Any) -> None:
+        if key in self.seen:
+            raise SchemaError(f"key {key!r:.40} appears more than once")
+        self.seen.add(key)
+        if key in ("vertices", "edges", "orientation", "measure", "s", "t",
+                   "restricted"):
+            self.held[key] = value
+        # edge_labels and unknown keys are dropped here
+        held = self.held
+        if "vertices" in held:
+            self._vertices(held.pop("vertices"))
+        if self.index is not None and "edges" in held:
+            self._edges(held.pop("edges"))
+        if self.edge_rows is not None:
+            if "orientation" in held:
+                self._orientation(held.pop("orientation"))
+            if "measure" in held:
+                self._measure(held.pop("measure"))
+
+    def _vid(self, name: Any) -> int:
+        if not isinstance(name, str) or name not in self.index:
             raise SchemaError(f"unknown vertex {name!r}")
-        return index[name]
+        return self.index[name]
 
-    raw_edges = _require(doc, "edges")
-    if not isinstance(raw_edges, list):
-        raise SchemaError("edges must be a list")
-    parse = _parser()
-    # keyed by the ordered pair of the edge row
-    pair_weight: dict[tuple[int, int], Fraction] = {}
-    for row in raw_edges:
-        if not isinstance(row, list) or len(row) != 3:
-            raise SchemaError(f"edge row must be [u, v, weight], got {row!r}")
-        u, v = vid(row[0]), vid(row[1])
-        if (u, v) in pair_weight or (v, u) in pair_weight:
-            raise SchemaError(f"duplicate edge {row[0]!r}-{row[1]!r}")
-        pair_weight[u, v] = parse(row[2])
+    def _id_columns(self, rows: list, width: int) -> Optional[tuple[list[int], list[int]]]:
+        """The tail and head ids of `rows`, when every row is a list of
+        `width` items that starts with two known names."""
+        if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
+            return None
+        try:
+            return (list(map(self.index.__getitem__, map(itemgetter(0), rows))),
+                    list(map(self.index.__getitem__, map(itemgetter(1), rows))))
+        except (KeyError, TypeError):  # an unknown or unhashable name
+            return None
 
-    orientation = _require(doc, "orientation")
-    if not isinstance(orientation, list) or len(orientation) != len(raw_edges):
-        raise SchemaError("orientation must list every edge exactly once")
-    edges: list[tuple[int, int]] = []
-    weights: list[Fraction] = []
-    seen: set[tuple[int, int]] = set()
-    for row in orientation:
-        if not isinstance(row, list) or len(row) != 2:
-            raise SchemaError(f"orientation row must be [tail, head], got {row!r}")
-        u, v = vid(row[0]), vid(row[1])
-        key = (u, v) if (u, v) in pair_weight else (v, u)
-        if key not in pair_weight:
-            raise SchemaError(f"orientation names a non-edge {row!r}")
-        if key in seen:
-            raise SchemaError(f"orientation repeats edge {row!r}")
-        seen.add(key)
-        edges.append((u, v))
-        weights.append(pair_weight[key])
+    def _vertices(self, names: Any) -> None:
+        if type(names) is not list or set(map(type, names)) - {str}:
+            raise SchemaError("vertices must be a list of names")
+        self.index = dict(zip(names, range(len(names))))
+        if len(self.index) != len(names):
+            raise SchemaError("vertex names must be unique")
+        self.names = tuple(names)
 
-    try:
-        return StGraph(names=tuple(names), edges=tuple(edges),
-                       weights=tuple(weights),
-                       s=vid(_require(doc, "s")), t=vid(_require(doc, "t")))
-    except Exception as exc:
-        raise SchemaError(str(exc)) from exc
+    def _edges(self, rows: Any) -> None:
+        if type(rows) is not list:
+            raise SchemaError("edges must be a list")
+        ids = self._id_columns(rows, 3)
+        if ids is not None:
+            keys = set(map(_pair_key, repeat(len(self.names)), *ids))
+            if len(keys) == len(rows):  # no pair twice, in either direction
+                self.edge_rows = (*ids, _parse_column(list(map(itemgetter(2), rows))))
+                return
+        pairs: set[tuple[int, int]] = set()
+        for row in rows:
+            if type(row) is not list or len(row) != 3:
+                raise SchemaError(f"edge row must be [u, v, weight], got {row!r}")
+            u, v = self._vid(row[0]), self._vid(row[1])
+            if (u, v) in pairs or (v, u) in pairs:
+                raise SchemaError(f"duplicate edge {row[0]!r}-{row[1]!r}")
+            pairs.add((u, v))
+            parse_fraction(row[2])
+        raise AssertionError("edge rows failed as columns but not row by row")
 
+    def _orientation(self, rows: Any) -> None:
+        if type(rows) is not list or len(rows) != len(self.edge_rows[0]):
+            raise SchemaError("orientation must list every edge exactly once")
+        tails, heads, weights = self.edge_rows
+        if self._id_columns(rows, 2) == (tails, heads):  # each edge row as written
+            self.edges, self.weights = tuple(zip(tails, heads)), tuple(weights)
+            return
+        # Edge rows listed in another order or direction, or a fault.
+        n = len(self.names)
+        weight_of = dict(zip(map(_pair_key, repeat(n), tails, heads), weights))
+        edges: list[tuple[int, int]] = []
+        seen: dict[int, Fraction] = {}  # pair key -> weight, in orientation order
+        for row in rows:
+            if type(row) is not list or len(row) != 2:
+                raise SchemaError(f"orientation row must be [tail, head], got {row!r}")
+            u, v = self._vid(row[0]), self._vid(row[1])
+            key = _pair_key(n, u, v)
+            if key not in weight_of:
+                raise SchemaError(f"orientation names a non-edge {row!r}")
+            if key in seen:
+                raise SchemaError(f"orientation repeats edge {row!r}")
+            seen[key] = weight_of[key]
+            edges.append((u, v))
+        self.edges, self.weights = tuple(edges), tuple(seen.values())
 
-def measured_from_dict(doc: dict) -> MeasuredGraph:
-    g = graph_from_dict(doc)
-    raw = _require(doc, "measure")
-    if not isinstance(raw, list) or len(raw) != g.edge_count:
-        raise SchemaError("measure must align with edges")
-    nu = tuple(map(_parser(), raw))
-    restricted = doc.get("restricted", False)
-    if not isinstance(restricted, bool):
-        raise SchemaError(f"restricted must be true or false, got {restricted!r:.40}")
-    try:
-        return MeasuredGraph(graph=g, nu=nu, restricted=restricted)
-    except Exception as exc:
-        raise SchemaError(str(exc)) from exc
+    def _measure(self, raw: Any) -> None:
+        if type(raw) is not list or len(raw) != len(self.edge_rows[0]):
+            raise SchemaError("measure must align with edges")
+        self.nu = tuple(_parse_column(raw))
+
+    def finish(self) -> StGraph | MeasuredGraph:
+        for key in ("vertices", "edges", "orientation", "s", "t"):
+            if key not in self.seen:
+                raise SchemaError(f"missing key {key!r}")
+        s, t = self._vid(self.held["s"]), self._vid(self.held["t"])
+        try:
+            g = StGraph(names=self.names, edges=self.edges, weights=self.weights,
+                        s=s, t=t)
+        except InputError as exc:
+            raise SchemaError(str(exc)) from exc
+        if "measure" not in self.seen:
+            return g
+        restricted = self.held.get("restricted", False)
+        if not isinstance(restricted, bool):
+            raise SchemaError(f"restricted must be true or false, got {restricted!r:.40}")
+        try:
+            return MeasuredGraph(graph=g, nu=self.nu, restricted=restricted)
+        except InputError as exc:
+            raise SchemaError(str(exc)) from exc
 
 
 def loads(text: str) -> StGraph | MeasuredGraph:
+    """The graph, or the measured graph when it has a measure, of a graph
+    document.  Members may come in any order, unknown keys are ignored, and
+    a key that appears twice is refused."""
+    doc = _Document()
     try:
-        doc = json.loads(text)
+        _read_object(text, doc.take)
     except ValueError as exc:  # also an int literal past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("invalid JSON: nested too deeply") from exc
-    if isinstance(doc, dict) and "measure" in doc:
-        return measured_from_dict(doc)
-    return graph_from_dict(doc)
+    return doc.finish()
 
 
 # --- writing -----------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Shared fixture graphs and independent little oracles for the tests."""
 
+import json
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Any, Callable
 
 from slashpow.constructions import (
     MeasuredGraph,
@@ -10,6 +13,8 @@ from slashpow.constructions import (
 )
 from slashpow.core import StGraph
 from slashpow.embeddings import GeodesicTree
+from slashpow.errors import SchemaError
+from slashpow.serialization import parse_fraction
 from slashpow.verify import unit_cycle_measured  # noqa: F401  (shared fixture)
 
 
@@ -95,3 +100,113 @@ def reference_layout(base: MeasuredGraph, n: int) -> list:
         edges, labels = next_edges, next_labels
         levels.append((edges, labels, tables, vertex_labels))
     return levels
+
+
+# --- the reference graph reader ----------------------------------------------
+#
+# The slow reader that serialization.loads replaced: json.loads decodes the
+# whole document, then the graph is built row by row from the dict.
+
+def _parser() -> Callable[[Any], Fraction]:
+    """parse_fraction, run once per distinct string: equal strings give one
+    Fraction object."""
+    parsed: dict[str, Fraction] = {}
+
+    def parse(raw: Any) -> Fraction:
+        if not isinstance(raw, str):
+            return parse_fraction(raw)
+        x = parsed.get(raw)
+        if x is None:
+            x = parsed[raw] = parse_fraction(raw)
+        return x
+
+    return parse
+
+
+def _require(doc: dict, key: str) -> Any:
+    if key not in doc:
+        raise SchemaError(f"missing key {key!r}")
+    return doc[key]
+
+
+def graph_from_dict(doc: dict) -> StGraph:
+    if not isinstance(doc, dict):
+        raise SchemaError("top-level JSON value must be an object")
+    names = _require(doc, "vertices")
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise SchemaError("vertices must be a list of names")
+    if len(set(names)) != len(names):
+        raise SchemaError("vertex names must be unique")
+    index = {name: i for i, name in enumerate(names)}
+
+    def vid(name: Any) -> int:
+        if not isinstance(name, str) or name not in index:
+            raise SchemaError(f"unknown vertex {name!r}")
+        return index[name]
+
+    raw_edges = _require(doc, "edges")
+    if not isinstance(raw_edges, list):
+        raise SchemaError("edges must be a list")
+    parse = _parser()
+    # keyed by the ordered pair of the edge row
+    pair_weight: dict[tuple[int, int], Fraction] = {}
+    for row in raw_edges:
+        if not isinstance(row, list) or len(row) != 3:
+            raise SchemaError(f"edge row must be [u, v, weight], got {row!r}")
+        u, v = vid(row[0]), vid(row[1])
+        if (u, v) in pair_weight or (v, u) in pair_weight:
+            raise SchemaError(f"duplicate edge {row[0]!r}-{row[1]!r}")
+        pair_weight[u, v] = parse(row[2])
+
+    orientation = _require(doc, "orientation")
+    if not isinstance(orientation, list) or len(orientation) != len(raw_edges):
+        raise SchemaError("orientation must list every edge exactly once")
+    edges: list[tuple[int, int]] = []
+    weights: list[Fraction] = []
+    seen: set[tuple[int, int]] = set()
+    for row in orientation:
+        if not isinstance(row, list) or len(row) != 2:
+            raise SchemaError(f"orientation row must be [tail, head], got {row!r}")
+        u, v = vid(row[0]), vid(row[1])
+        key = (u, v) if (u, v) in pair_weight else (v, u)
+        if key not in pair_weight:
+            raise SchemaError(f"orientation names a non-edge {row!r}")
+        if key in seen:
+            raise SchemaError(f"orientation repeats edge {row!r}")
+        seen.add(key)
+        edges.append((u, v))
+        weights.append(pair_weight[key])
+
+    try:
+        return StGraph(names=tuple(names), edges=tuple(edges),
+                       weights=tuple(weights),
+                       s=vid(_require(doc, "s")), t=vid(_require(doc, "t")))
+    except Exception as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def measured_from_dict(doc: dict) -> MeasuredGraph:
+    g = graph_from_dict(doc)
+    raw = _require(doc, "measure")
+    if not isinstance(raw, list) or len(raw) != g.edge_count:
+        raise SchemaError("measure must align with edges")
+    nu = tuple(map(_parser(), raw))
+    restricted = doc.get("restricted", False)
+    if not isinstance(restricted, bool):
+        raise SchemaError(f"restricted must be true or false, got {restricted!r:.40}")
+    try:
+        return MeasuredGraph(graph=g, nu=nu, restricted=restricted)
+    except Exception as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def reference_loads(text: str) -> StGraph | MeasuredGraph:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # also an int literal past the digit limit
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply") from exc
+    if isinstance(doc, dict) and "measure" in doc:
+        return measured_from_dict(doc)
+    return graph_from_dict(doc)

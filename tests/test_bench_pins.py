@@ -27,18 +27,23 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import run, tracer
 import slashpow.core as core
+import slashpow.serialization as serialization
 from slashpow import diamond, slash_power
 
 rec = tracer.Recorder()
 report = tracer.install(rec)
 g = slash_power(diamond(), 2).graph.graph
 core.geodesic_metric(g)
+# A non-ASCII unknown key: the hook must count bytes, not characters.
+text = serialization.dumps(diamond())[:-2] + ', "note": "' + chr(233) + '"}'
+serialization.loads(text)
 print(json.dumps({
     "pinned": sorted({name for _, name in run.PINNED}),
     "missing": report["missing"],
     "calls": {name: rec.name_ids.count(i) for i, name in enumerate(rec.names)},
     "counters": rec.counters,
     "n": g.vertex_count,
+    "text_bytes": len(text.encode()),
 }))
 """
 
@@ -69,3 +74,10 @@ def test_every_pinned_count_reads_a_wrapped_function():
     assert probe["calls"]["core.geodesic_metric"] == 1
     assert probe["calls"]["core.single_source_distances"] == n
     assert probe["counters"]["core.vertices_settled"] == n * n
+
+
+def test_bytes_read_counts_the_text_loads_is_given():
+    # The hook reads loads' `text` argument by name.
+    probe = run_probe()
+    assert probe["calls"]["serialization.loads"] == 1
+    assert probe["counters"]["serialization.bytes_read"] == probe["text_bytes"]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -39,22 +40,22 @@ def test_schema_errors():
         doc = dict(good)
         del doc[key]
         with pytest.raises(SchemaError):
-            ser.graph_from_dict(doc)
+            ser.loads(json.dumps(doc))
 
     doc = json.loads(ser.dumps(diamond().graph))
     doc["edges"][0][2] = "1/0"
     with pytest.raises(SchemaError):
-        ser.graph_from_dict(doc)
+        ser.loads(json.dumps(doc))
 
     doc = json.loads(ser.dumps(diamond().graph))
     doc["orientation"][0] = doc["orientation"][1]
     with pytest.raises(SchemaError):
-        ser.graph_from_dict(doc)
+        ser.loads(json.dumps(doc))
 
     doc = json.loads(ser.dumps(diamond().graph))
     doc["s"] = "nope"
     with pytest.raises(SchemaError):
-        ser.graph_from_dict(doc)
+        ser.loads(json.dumps(doc))
 
     with pytest.raises(SchemaError):
         ser.loads("{not json")
@@ -64,11 +65,11 @@ def test_measure_must_align():
     doc = json.loads(ser.dumps(diamond()))
     doc["measure"] = doc["measure"][:-1]
     with pytest.raises(SchemaError):
-        ser.measured_from_dict(doc)
+        ser.loads(json.dumps(doc))
     doc = json.loads(ser.dumps(diamond()))
     doc["measure"][0] = "1/3"  # no longer sums to 1
     with pytest.raises(SchemaError):
-        ser.measured_from_dict(doc)
+        ser.loads(json.dumps(doc))
 
 
 def test_export_dot_counts():
@@ -118,7 +119,7 @@ def test_loads_refuses_malformed_documents():
     doc = json.loads(ser.dumps(diamond().graph))
     doc["edges"][0][0] = ["x0"]  # unhashable vertex reference
     with pytest.raises(SchemaError):
-        ser.graph_from_dict(doc)
+        ser.loads(json.dumps(doc))
 
 
 def test_booleans_are_not_rationals():
@@ -149,6 +150,52 @@ def test_restricted_must_be_a_json_boolean():
         ser.loads(json.dumps(doc))
     doc["restricted"] = True
     assert ser.loads(json.dumps(doc)).restricted
+
+
+def test_a_repeated_top_level_key_is_refused(tmp_path):
+    # json.loads would keep the last value silently.
+    text = ser.dumps(diamond().graph)
+    assert text.endswith("\n}")
+    for extra in ('"t": "z0"', '"t": "x0"', '"vertices": []', '"note": 1, "note": 1'):
+        doubled = text[:-2] + ",\n  " + extra + "\n}"
+        with pytest.raises(SchemaError, match="appears more than once"):
+            ser.loads(doubled)
+    path = tmp_path / "doubled.json"
+    path.write_text(text[:-2] + ',\n  "s": "x0"\n}')
+    assert main(["export-dot", "--graph", str(path)]) == 3
+
+
+def test_members_in_any_order_read_the_same_graph():
+    power = sp.slash_power(diamond(), 2)
+    for obj in (diamond(), theta().graph, power.graph):
+        doc = json.loads(ser.dumps(obj, edge_labels=["label"] * 3))
+        for text in (json.dumps(dict(reversed(doc.items())), indent=2),
+                     json.dumps(dict(reversed(doc.items())))):
+            back = ser.loads(text)
+            assert back == obj
+        # Edge rows reversed in order and direction: the orientation still
+        # decides each edge's direction and place.
+        doc["edges"] = [[v, u, w] for u, v, w in reversed(doc["edges"])]
+        assert ser.loads(json.dumps(doc)) == obj
+
+
+def test_loads_peak_memory_stays_within_four_times_the_text(tmp_path, monkeypatch):
+    # The whole-document json.loads reader peaked at 6.0 times the text on
+    # this file; reading one member at a time stays near 2.6 times.
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--laakso", "0,2,2,0", "--uniform-weights",
+                 "--out", "d.json"]) == 0
+    assert main(["power", "--base", "d.json", "--n", "6", "--out", "d6.json"]) == 0
+    text = (tmp_path / "d6.json").read_text()
+    assert len(text) == 710_174
+    tracemalloc.start()
+    try:
+        g = ser.loads(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.graph.edge_count == 4096
+    assert peak <= 4 * len(text), peak / len(text)
 
 
 # --- the writer against json.dumps ------------------------------------------
