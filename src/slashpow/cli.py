@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import serialization as ser
 from .constructions import (
@@ -60,20 +61,37 @@ def _parse_params(raw: str) -> LaaksoParams:
         raise InputError(f"bad parameters {raw!r}") from exc
 
 
-def _write_text(path: Optional[str], text: str) -> None:
-    """Write `text` as UTF-8, to a file or to stdout (ending in a newline),
-    whatever encoding the locale or PYTHONIOENCODING gives stdout."""
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-        return
-    if not text.endswith("\n"):
-        text += "\n"
-    buffer = getattr(sys.stdout, "buffer", None)
-    if buffer is None:  # an in-memory text stream takes str as it is
-        sys.stdout.write(text)
-    else:
+def _newline_ended(pieces: Iterable[str]) -> Iterator[str]:
+    """`pieces`, then a newline when they do not end in one."""
+    last = ""
+    for piece in pieces:
+        if piece:
+            last = piece
+        yield piece
+    if not last.endswith("\n"):
+        yield "\n"
+
+
+def _write(path: Optional[str], pieces: Iterable[str]) -> None:
+    """Write `pieces` as UTF-8 as they come, to a file or to stdout (ending
+    in a newline), whatever encoding the locale or PYTHONIOENCODING gives
+    stdout.
+
+    Stdout is written through a file object of its own on the same file
+    descriptor, closed here: a write that fails is an OSError of the
+    command, and no piece is left in sys.stdout's buffer for the
+    interpreter's last flush to fail on (exit 120)."""
+    target, closefd = path, True
+    if path is None:
+        pieces = _newline_ended(pieces)
         sys.stdout.flush()
-        buffer.write(text.encode("utf-8"))
+        try:
+            target, closefd = sys.stdout.fileno(), False
+        except io.UnsupportedOperation:  # an in-memory stream takes str as it is
+            sys.stdout.writelines(pieces)
+            return
+    with open(target, "w", encoding="utf-8", closefd=closefd) as fh:
+        fh.writelines(pieces)
 
 
 def _load_graph(path: str) -> StGraph | MeasuredGraph:
@@ -114,14 +132,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
             mg = build_laakso(params, *(_parse_weights(s) for s in segs))
         else:
             raise InputError("--laakso needs --uniform-weights or --weights")
-    _write_text(args.out, ser.dumps(mg))
+    _write(args.out, ser.graph_pieces(mg))
     return EXIT_OK
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
     mg = _need_measured(_load_graph(args.base))
     power = slash_power(mg, args.n)
-    _write_text(args.out, ser.dumps(power.graph, edge_labels=power.label_strings()))
+    _write(args.out, ser.graph_pieces(power.graph, power.label_strings()))
     return EXIT_OK
 
 
@@ -151,7 +169,7 @@ def _cmd_find_balanced(args: argparse.Namespace) -> int:
     params = _parse_params(args.params)
     mg = uniform_laakso(params)
     witness = find_balanced_laakso(mg)
-    _write_text(args.out, ser.dumps_document({
+    _write(args.out, ser.document_pieces({
         "n0": witness.n0,
         "i": witness.i,
         "params": list(witness.subgraph.structure.params.as_tuple()),
@@ -164,7 +182,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     mg = _need_measured(_load_graph(args.graph))
     result = balanced_laakso_pipeline(mg)
     sub_measured = laakso_measure(result.subgraph.graph, result.subgraph.structure)
-    _write_text(args.out, ser.dumps_document({
+    _write(args.out, ser.document_pieces({
         "n": result.n,
         "c0": ser.fraction_str(result.c0),
         "power_edges": result.power.graph.graph.edge_count,
@@ -239,7 +257,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     obj = _load_graph(args.graph)
     g = obj.graph if isinstance(obj, MeasuredGraph) else obj
-    _write_text(args.out, ser.export_dot(g))
+    _write(args.out, ser.dot_pieces(g))
     return EXIT_OK
 
 

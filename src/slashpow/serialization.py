@@ -23,18 +23,19 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .constructions import MeasuredGraph
 from .core import StGraph, _str_digit_limit
 from .errors import InputError, SchemaError
 
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def fraction_str(x: Fraction) -> str:
@@ -198,6 +199,12 @@ class _Document:
     def _vertices(self, names: Any) -> None:
         if type(names) is not list or set(map(type, names)) - {str}:
             raise SchemaError("vertices must be a list of names")
+        # A \ud800 escape decodes to a lone surrogate, which no UTF-8 output
+        # can hold: refused here, before any output file is opened.
+        bad = next(filter(_SURROGATE.search, filterfalse(str.isascii, names)), None)
+        if bad is not None:
+            raise SchemaError(f"vertex name {bad!r:.40} is not valid Unicode "
+                              "(it holds a lone surrogate)")
         self.index = dict(zip(names, range(len(names))))
         if len(self.index) != len(names):
             raise SchemaError("vertex names must be unique")
@@ -294,8 +301,12 @@ def loads(text: str) -> StGraph | MeasuredGraph:
 # the equivalent dict, which with an indent runs the pure-Python encoder once
 # per list element.  Here they are rendered straight from the graph instead:
 # each vertex name is encoded once (by json's C string encoder) into the few
-# pieces an edge row is made of, each distinct weight or measure object is
-# rendered once, and the whole document is one join over those shared pieces.
+# pieces an edge row is made of, and each distinct weight or measure object
+# is rendered once.  A writer returns an iterator over those shared pieces;
+# every name and value is rendered when the writer is called, so nothing can
+# fail while the pieces are drawn.  dumps, dumps_document and export_dot
+# join them, and the CLI writes them to the file as they come, so the whole
+# document is never held as one string.
 
 _INDENT = "  "
 
@@ -311,7 +322,7 @@ def _array(depth: int, *columns: Sequence[str]) -> Iterable[str]:
                  ("\n" + _INDENT * depth + "]",))
 
 
-def _object(depth: int, fields: Sequence[tuple[str, Iterable[str]]]) -> Iterable[str]:
+def _object(depth: int, fields: Sequence[tuple[str, Iterable[str]]]) -> Iterator[str]:
     """The pieces of a JSON object opened at `depth`, from (key, value pieces)."""
     inner = "\n" + _INDENT * (depth + 1)
     parts: list[Iterable[str]] = []
@@ -358,14 +369,21 @@ def _graph_fields(obj: StGraph | MeasuredGraph,
     return fields
 
 
-def dumps(obj: StGraph | MeasuredGraph,
-          edge_labels: Optional[Sequence[str]] = None) -> str:
-    """The graph document; a power's `edge_labels` follow as one more field."""
+def graph_pieces(obj: StGraph | MeasuredGraph,
+                 edge_labels: Optional[Sequence[str]] = None) -> Iterator[str]:
+    """The pieces of the graph document; a power's `edge_labels` follow as
+    one more field."""
     fields = _graph_fields(obj, 0)
     if edge_labels is not None:
         fields.append(("edge_labels",
                        _array(1, list(map(encode_basestring_ascii, edge_labels)))))
-    return "".join(_object(0, fields))
+    return _object(0, fields)
+
+
+def dumps(obj: StGraph | MeasuredGraph,
+          edge_labels: Optional[Sequence[str]] = None) -> str:
+    """The graph document; a power's `edge_labels` follow as one more field."""
+    return "".join(graph_pieces(obj, edge_labels))
 
 
 def _value(value: Any, depth: int) -> Iterable[str]:
@@ -383,10 +401,16 @@ def _value(value: Any, depth: int) -> Iterable[str]:
     raise TypeError(f"cannot write a {type(value).__name__}")
 
 
+def document_pieces(fields: dict[str, Any]) -> Iterator[str]:
+    """The pieces of a JSON object of ints, strings, lists and graphs; each
+    graph is written as its graph document, nested one level down."""
+    return _object(0, [(key, _value(value, 1)) for key, value in fields.items()])
+
+
 def dumps_document(fields: dict[str, Any]) -> str:
     """A JSON object of ints, strings, lists and graphs; each graph is written
     as its graph document, nested one level down."""
-    return "".join(_object(0, [(key, _value(value, 1)) for key, value in fields.items()]))
+    return "".join(document_pieces(fields))
 
 
 def _dot_id(text: str) -> str:
@@ -394,14 +418,19 @@ def _dot_id(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(g: StGraph) -> str:
-    """DOT digraph honoring the orientation; labels carry exact weights."""
+def dot_pieces(g: StGraph) -> Iterator[str]:
+    """The lines of a DOT digraph honoring the orientation; labels carry
+    exact weights."""
     ids = list(map(_dot_id, g.names))
     roles = {g.s: " [role=s]", g.t: " [role=t]"}
-    lines = ["digraph g {"]
-    lines.extend(f"  {x}{roles.get(v, '')};" for v, x in enumerate(ids))
-    labels = _fraction_cells(g.weights, ' [label=', '];')
-    lines.extend(f"  {ids[u]} -> {ids[v]}{label}"
-                 for (u, v), label in zip(g.edges, labels))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = _fraction_cells(g.weights, ' [label=', '];\n')
+    return chain(("digraph g {\n",),
+                 (f"  {x}{roles.get(v, '')};\n" for v, x in enumerate(ids)),
+                 (f"  {ids[u]} -> {ids[v]}{label}"
+                  for (u, v), label in zip(g.edges, labels)),
+                 ("}\n",))
+
+
+def export_dot(g: StGraph) -> str:
+    """DOT digraph honoring the orientation; labels carry exact weights."""
+    return "".join(dot_pieces(g))

@@ -135,6 +135,10 @@ def graph_from_dict(doc: dict) -> StGraph:
     names = _require(doc, "vertices")
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise SchemaError("vertices must be a list of names")
+    for name in names:
+        if any("\ud800" <= ch <= "\udfff" for ch in name):
+            raise SchemaError(f"vertex name {name!r:.40} is not valid Unicode "
+                              "(it holds a lone surrogate)")
     if len(set(names)) != len(names):
         raise SchemaError("vertex names must be unique")
     index = {name: i for i, name in enumerate(names)}

@@ -2,15 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from helpers import diamond
 from slashpow import serialization as ser
-from slashpow.cli import EXIT_CAP, EXIT_INPUT, EXIT_IO, EXIT_OK, main
-from slashpow.constructions import MeasuredGraph
+from slashpow.cli import EXIT_CAP, EXIT_INPUT, EXIT_IO, EXIT_OK, _write, main
+from slashpow.constructions import (LaaksoParams, MeasuredGraph, laakso_measure,
+                                    uniform_laakso)
 from slashpow.core import StGraph
+from slashpow.laakso import balanced_laakso_pipeline, find_balanced_laakso
+from slashpow.slash import slash_power
 
 
 @pytest.fixture()
@@ -159,26 +164,125 @@ def test_export_dot(capsys, diamond_file):
     assert out.count("->") == 4
 
 
-def test_text_outputs_are_utf8_whatever_the_stdout_encoding(tmp_path):
-    graph = tmp_path / "g.json"
-    graph.write_text(json.dumps({
-        "vertices": ["s", "té"], "edges": [["s", "té", "1"]], "s": "s", "t": "té",
-        "orientation": [["s", "té"]]}), encoding="utf-8")
-    dot = 'digraph g {\n  "s" [role=s];\n  "té" [role=t];\n  "s" -> "té" [label="1/1"];\n}\n'
+@pytest.fixture()
+def document_commands(tmp_path, diamond_file):
+    """(argv, the library's text for it) for each command that writes a
+    document; the DOT input has a non-ASCII vertex name."""
+    d = ser.loads(diamond_file.read_text())
+    power = slash_power(d, 3)
+    witness = find_balanced_laakso(uniform_laakso(LaaksoParams(0, 2, 3, 0)))
+    result = balanced_laakso_pipeline(d)
+    accent = StGraph(names=("s", "té"), edges=((0, 1),), weights=(F(1),), s=0, t=1)
+    accent_file = tmp_path / "accent.json"
+    accent_file.write_text(ser.dumps(accent))
+    return [
+        (["build", "--laakso", "0,2,2,0", "--uniform-weights"], ser.dumps(d)),
+        (["power", "--base", str(diamond_file), "--n", "3"],
+         ser.dumps(power.graph, power.label_strings())),
+        (["find-balanced", "--params", "0,2,3,0"], ser.dumps_document({
+            "n0": witness.n0, "i": witness.i,
+            "params": list(witness.subgraph.structure.params.as_tuple()),
+            "subgraph": witness.subgraph.graph})),
+        (["pipeline", "--graph", str(diamond_file)], ser.dumps_document({
+            "n": result.n, "c0": ser.fraction_str(result.c0),
+            "power_edges": result.power.graph.graph.edge_count,
+            "support_edges": sum(1 for x in result.measure.nu if x),
+            "subgraph": laakso_measure(result.subgraph.graph,
+                                       result.subgraph.structure)})),
+        (["export-dot", "--graph", str(accent_file)], ser.export_dot(accent)),
+    ]
+
+
+def _ended(text: str) -> str:
+    return text if text.endswith("\n") else text + "\n"
+
+
+def test_outputs_are_the_library_text(tmp_path, capsys, document_commands):
+    # Written piece by piece, the file holds the text the library joins,
+    # and an in-memory stdout the same text ending in a newline.
+    out = tmp_path / "out"
+    for argv, text in document_commands:
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == text.encode("utf-8")
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == _ended(text)
+
+
+def test_text_outputs_are_utf8_whatever_the_stdout_encoding(tmp_path, document_commands):
     env = dict(os.environ, PYTHONIOENCODING="ascii",
                PYTHONPATH=str(Path(ser.__file__).resolve().parents[1]))
-    for out, stdout in ((None, dot), (tmp_path / "g.dot", "")):
-        argv = ["export-dot", "--graph", str(graph)] + (["--out", str(out)] if out else [])
-        run = subprocess.run([sys.executable, "-m", "slashpow.cli", *argv],
-                             capture_output=True, env=env, timeout=60)
-        assert (run.returncode, run.stderr) == (EXIT_OK, b"")
-        assert run.stdout.decode("utf-8") == stdout
-    assert (tmp_path / "g.dot").read_bytes() == dot.encode("utf-8")
+    out = tmp_path / "out"
+    for argv, text in document_commands:
+        for extra, stdout in (([], _ended(text)), (["--out", str(out)], "")):
+            run = subprocess.run([sys.executable, "-m", "slashpow.cli", *argv, *extra],
+                                 capture_output=True, env=env, timeout=60)
+            assert (run.returncode, run.stderr) == (EXIT_OK, b"")
+            assert run.stdout == stdout.encode("utf-8")
+        assert out.read_bytes() == text.encode("utf-8")
+    assert b"t\xc3\xa9" in out.read_bytes()  # the DOT file, written last
 
 
-def test_exit_codes_for_bad_inputs(tmp_path):
+def test_power_document_is_written_without_joining_it(tmp_path):
+    # diamond^7's document is 3.06 MB.  Joined into one string before it is
+    # written, the write peaks near 3x the file (9.0 MB traced); written
+    # piece by piece, below 2x (5.2 MB).
+    power = slash_power(diamond(), 7)
+    labels = power.label_strings()
+    out = tmp_path / "d7.json"
+    tracemalloc.start()
+    try:
+        _write(str(out), ser.graph_pieces(power.graph, labels))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 3_000_000
+    assert peak < 2 * out.stat().st_size
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_full_device_is_an_io_failure(diamond_file, n):
+    # A write that fails must fail inside the command (exit 5, one line),
+    # not in the interpreter's last flush of a buffered stdout (exit 120).
+    env = dict(os.environ, PYTHONPATH=str(Path(ser.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "slashpow.cli", "power", "--base",
+            str(diamond_file), "--n", n]
+    with open("/dev/full", "wb") as full:
+        for extra, stdout in (([], full), (["--out", "/dev/full"], subprocess.PIPE)):
+            run = subprocess.run(argv + extra, stdout=stdout, stderr=subprocess.PIPE,
+                                 env=env, timeout=60)
+            assert run.returncode == EXIT_IO
+            assert run.stderr.decode().splitlines() == [
+                "error: [Errno 28] No space left on device"]
+
+
+def test_lone_surrogate_names_exit_3_before_any_output(tmp_path, capsys):
+    # "x\ud800" is valid JSON but no valid Unicode: no UTF-8 output can hold it.
+    graph = tmp_path / "g.json"
+    graph.write_text(
+        '{"vertices": ["s", "x\\ud800"], "edges": [["s", "x\\ud800", "1"]],'
+        ' "s": "s", "t": "x\\ud800", "orientation": [["s", "x\\ud800"]],'
+        ' "measure": ["1"]}')
+    out = tmp_path / "out"
+    for argv in (["export-dot", "--graph", str(graph), "--out", str(out)],
+                 ["power", "--base", str(graph), "--n", "2", "--out", str(out)],
+                 ["embed-frt", "--graph", str(graph), "--seed", "1",
+                  "--samples", "2", "--report", str(out)]):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "not valid Unicode" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_exit_codes_for_bad_inputs(tmp_path, capsys, diamond_file):
     missing = tmp_path / "absent.json"
     assert main(["oracle", "--graph", str(missing)]) == EXIT_IO
+    out = tmp_path / "absent" / "p.json"
+    assert main(["power", "--base", str(diamond_file), "--n", "1",
+                 "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err.count("error: ") == 2
+    assert not out.parent.exists()
 
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -5,7 +5,7 @@ helpers.reference_loads decodes the whole document with json.loads and
 builds the graph row by row.  Each document here is written from a small
 graph and then varied once: member order and layout, an unknown key, or one
 fault (a missing member, a row of the wrong width, an unknown or unhashable
-vertex name, a duplicate or reversed edge, a repeated orientation row, a bad
+vertex name, a name with a lone surrogate, a duplicate or reversed edge, a repeated orientation row, a bad
 or over-long rational, a misaligned measure, a non-boolean `restricted`, a
 non-object top level, trailing data, a BOM, deep nesting, a cut-off text).
 Both readers must return equal graphs, or both refuse the document with
@@ -83,7 +83,8 @@ def _vary(draw, doc: dict, fault: str) -> None:
         if draw(st.booleans()):
             names[row_index("vertices")] = names[row_index("vertices")]
         else:
-            names[row_index("vertices")] = draw(st.sampled_from([1, None, ["x0"]]))
+            names[row_index("vertices")] = draw(st.sampled_from([1, None, ["x0"],
+                                                                 "x\ud800"]))
     elif fault in ("duplicate", "repeat"):
         table = "edges" if fault == "duplicate" else "orientation"
         i, j = row_index(table), row_index(table)

@@ -72,6 +72,18 @@ def test_measure_must_align():
         ser.loads(json.dumps(doc))
 
 
+def test_vertex_names_must_be_valid_unicode():
+    text = ser.dumps(diamond())
+    # An escaped surrogate pair is one character, and is written back the same.
+    paired = text.replace('"z0"', '"z0\\ud83d\\ude00"')
+    g = ser.loads(paired)
+    assert "z0\U0001f600" in g.graph.names
+    assert ser.dumps(g) == paired
+    for lone in ("\\ud800", "\\udfff", "\\ude00\\ud83d"):
+        with pytest.raises(SchemaError, match="lone surrogate"):
+            ser.loads(text.replace('"z0"', f'"z0{lone}"'))
+
+
 def test_export_dot_counts():
     single = sp.build_path([1]).graph
     text = ser.export_dot(single)
