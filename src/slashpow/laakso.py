@@ -46,7 +46,14 @@ from .errors import (
     NotNormalized,
     SelectorError,
 )
-from .slash import EdgeLabel, SlashPower, lift_cycle, lift_path, slash_power
+from .slash import (
+    EdgeLabel,
+    LazyPowerMetric,
+    SlashPower,
+    lift_cycle,
+    lift_path,
+    slash_power,
+)
 
 ZERO = Fraction(0)
 
@@ -428,25 +435,29 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
         raise InputError(f"subgraph cycle has length {sub_cycle_len}, expected {c0}")
     if max(sub.graph.weights) > quarter:
         raise InputError("subgraph still has an edge above a quarter of the cycle")
-    _spot_check_isometry(power.graph.graph, sub)
+    _spot_check_isometry(power, sub)
     return PipelineResult(n=n_final, power=power, subgraph=sub,
                           measure=measure, c0=c0)
 
 
-def _spot_check_isometry(big: StGraph, sub: LaaksoSubgraph) -> None:
+def _spot_check_isometry(power: SlashPower, sub: LaaksoSubgraph) -> None:
     """Induced distances from the subgraph vertices range(0, nv, max(1,
     nv // 8)) must equal the ambient restriction: all nv of them when
-    nv < 16, otherwise 8 to 12 spread evenly over the vertex ids."""
+    nv < 16, otherwise 8 to 12 spread evenly over the vertex ids.  Ambient
+    distances come from LazyPowerMetric on the vertices' canonical labels,
+    so the power's adjacency is never built."""
     small = sub.graph
-    big_scale, small_scale = big.weight_scale, small.weight_scale
+    lazy = LazyPowerMetric(power.base, power.n)
+    big_scale, small_scale = lazy.scale, small.weight_scale
+    labels = [power.vertex_label(pv) for pv in sub.parent_vertices]
     nv = small.vertex_count
     step = max(1, nv // 8)
     for u in range(0, nv, step):
-        # d_small(u, v) == d_big, cross-multiplied by both scales
-        ambient = single_source_distances(big, sub.parent_vertices[u])
         row = single_source_distances(small, u)
         for v in range(nv):
-            if row[v] * big_scale != ambient[sub.parent_vertices[v]] * small_scale:
+            # d_small(u, v) == d_big, cross-multiplied by both scales
+            ambient = lazy.scaled_distance(labels[u], labels[v])
+            if row[v] * big_scale != ambient * small_scale:
                 raise InputError(
                     f"subgraph is not isometric at pair ({u}, {v})")
 

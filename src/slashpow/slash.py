@@ -21,8 +21,10 @@ from .core import (
     GeodesicMetric,
     PathSeq,
     StGraph,
+    _str_digit_limit,
     edge_cap,
     is_normalized_geodesic_st,
+    single_source_distances,
 )
 from .errors import CapExceeded, InputError, InvalidPath, NotNormalized
 
@@ -51,15 +53,30 @@ def _scaled_rows(scales: Sequence[Fraction], values: Sequence[Fraction]
 
     A row is built once per distinct scale object (by id(); the caller's
     sequence keeps the objects alive), and equal products are one object, so
-    rows built from these products are shared at the next level as well."""
+    rows built from these products are shared at the next level as well.
+    Each distinct product is refused when its numerator or denominator is
+    too long to print (see core._str_digit_limit)."""
+    digits = _str_digit_limit()
     canon: dict[Fraction, Fraction] = {}
     built: dict[int, tuple[Fraction, ...]] = {}
+
+    def canonical(p: Fraction) -> Fraction:
+        c = canon.get(p)
+        if c is None:
+            # below 3*digits bits a part is under 8**digits < 10**digits
+            for part in (p.numerator, p.denominator):
+                if part.bit_length() >= 3 * digits and abs(part) >= 10 ** digits:
+                    raise CapExceeded(
+                        f"a product of weights or measures has more than {digits} "
+                        "decimal digits (the int-to-str limit, PYTHONINTMAXSTRDIGITS)")
+            c = canon[p] = p
+        return c
+
     rows = []
     for scale in scales:
         row = built.get(id(scale))
         if row is None:
-            row = built[id(scale)] = tuple(
-                canon.setdefault(p, p) for p in [scale * x for x in values])
+            row = built[id(scale)] = tuple(canonical(scale * x) for x in values)
         rows.append(row)
     return rows
 
@@ -280,8 +297,13 @@ def _lift(power: SlashPower, level: int, walk: Sequence[int],
     src = power.level_graph(level).graph
     base = power.base.graph
     out: list[int] = [stops[0]]
+    # Callers repeat a few route objects: each is checked at its first step,
+    # keyed by id(), which `choices` keeps valid.
+    checked: set[int] = set()
     for (a, b), choice in zip(zip(stops, stops[1:]), choices):
-        _require_base_st_path(base, choice)
+        if id(choice) not in checked:
+            _require_base_st_path(base, choice)
+            checked.add(id(choice))
         ei = src.edge_index(a, b)
         forward = src.edges[ei] == (a, b)
         inner = choice[1:-1] if forward else tuple(reversed(choice))[1:-1]
@@ -359,7 +381,9 @@ class LazyPowerMetric:
     a label of depth d (d edge ids) is a vertex of every power above d.
     Distances between vertices of one copy scale by the copy weight, and
     copy boundaries drop to the previous power, whose metric restricts
-    exactly; that recursion is memoized.
+    exactly; that recursion is memoized.  As in GeodesicMetric, distances
+    are integers over one denominator, `scale` (the base's weight_scale to
+    the n-th power), and `distance` builds the Fraction.
     """
 
     def __init__(self, base: MeasuredGraph, n: int):
@@ -368,8 +392,18 @@ class LazyPowerMetric:
         _require_normalized(base, "base")
         self.base = base
         self.n = n
-        self._metric = base.graph.metric
-        self._memo: dict[tuple[int, VertexLabel, VertexLabel], Fraction] = {}
+        self.scale = base.graph.weight_scale ** n
+        self._rows: dict[int, tuple[int, ...]] = {}
+        self._memo: dict[tuple[int, VertexLabel, VertexLabel], int] = {}
+
+    def _base_d(self, u: int, v: int) -> int:
+        """Base distance times the base's weight_scale, read off u's
+        single-source row, which is computed on first use: the base's
+        all-pairs metric is never built."""
+        row = self._rows.get(u)
+        if row is None:
+            row = self._rows[u] = single_source_distances(self.base.graph, u)
+        return row[v]
 
     def _check_label(self, lab: VertexLabel) -> None:
         g = self.base.graph
@@ -383,10 +417,13 @@ class LazyPowerMetric:
         if len(lab) > 1 and lab[-1] in (g.s, g.t):
             raise InputError(f"label {lab} is not canonical (boundary vertex)")
 
-    def _copy_weight(self, edge_label: EdgeLabel) -> Fraction:
-        w = Fraction(1)
+    def _copy_weight(self, edge_label: EdgeLabel) -> int:
+        """The copy's weight times weight_scale**(n - 1): times a _base_d
+        value it gives a distance times scale."""
+        g = self.base.graph
+        w = g.weight_scale ** (self.n - 1 - len(edge_label))
         for e in edge_label:
-            w *= self.base.graph.weights[e]
+            w *= g.int_weights[e]
         return w
 
     def _endpoints(self, edge_label: EdgeLabel) -> tuple[VertexLabel, VertexLabel]:
@@ -406,40 +443,43 @@ class LazyPowerMetric:
         return edge_label + (v,)
 
     def distance(self, x: VertexLabel, y: VertexLabel) -> Fraction:
+        return Fraction(self.scaled_distance(x, y), self.scale)
+
+    def scaled_distance(self, x: VertexLabel, y: VertexLabel) -> int:
+        """distance(x, y) times scale, an exact integer."""
         self._check_label(x)
         self._check_label(y)
         return self._dist(self.n, tuple(x), tuple(y))
 
-    def _dist(self, k: int, x: VertexLabel, y: VertexLabel) -> Fraction:
+    def _dist(self, k: int, x: VertexLabel, y: VertexLabel) -> int:
         if x == y:
-            return Fraction(0)
+            return 0
         if x > y:
             x, y = y, x
         key = (k, x, y)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        dm = self._metric
         if k == 1:
-            val = dm.d(x[0], y[0])
+            val = self._copy_weight(()) * self._base_d(x[0], y[0])
             self._memo[key] = val
             return val
         fine = k  # labels of length k live strictly inside level-k copies
         if len(x) < fine and len(y) < fine:
             val = self._dist(k - 1, x, y)
         elif len(x) == fine and len(y) == fine and x[:-1] == y[:-1]:
-            val = self._copy_weight(x[:-1]) * dm.d(x[-1], y[-1])
+            val = self._copy_weight(x[:-1]) * self._base_d(x[-1], y[-1])
         else:
             g = self.base.graph
 
-            def options(lab: VertexLabel) -> list[tuple[Fraction, VertexLabel]]:
+            def options(lab: VertexLabel) -> list[tuple[int, VertexLabel]]:
                 if len(lab) < fine:
-                    return [(Fraction(0), lab)]
+                    return [(0, lab)]
                 copy = lab[:-1]
                 w = self._copy_weight(copy)
                 tail, head = self._endpoints(copy)
-                return [(w * dm.d(lab[-1], g.s), tail),
-                        (w * dm.d(lab[-1], g.t), head)]
+                return [(w * self._base_d(g.s, lab[-1]), tail),
+                        (w * self._base_d(g.t, lab[-1]), head)]
 
             val = None
             for cx, bx in options(x):

@@ -6,14 +6,15 @@ from fractions import Fraction as F
 from typing import Any, Callable
 
 from slashpow.constructions import (
+    LaaksoSubgraph,
     MeasuredGraph,
     build_laakso,
     cycle_st_graph,
     uniform_laakso,
 )
-from slashpow.core import StGraph
+from slashpow.core import StGraph, single_source_distances
 from slashpow.embeddings import GeodesicTree
-from slashpow.errors import SchemaError
+from slashpow.errors import InputError, SchemaError
 from slashpow.serialization import parse_fraction
 from slashpow.verify import unit_cycle_measured  # noqa: F401  (shared fixture)
 
@@ -100,6 +101,23 @@ def reference_layout(base: MeasuredGraph, n: int) -> list:
         edges, labels = next_edges, next_labels
         levels.append((edges, labels, tables, vertex_labels))
     return levels
+
+
+def reference_spot_check_isometry(big: StGraph, sub: LaaksoSubgraph) -> None:
+    """Slow reference for laakso._spot_check_isometry: the same sampled rows
+    and message, with ambient distances from a Dijkstra run over the
+    materialized power per sampled row."""
+    small = sub.graph
+    big_scale, small_scale = big.weight_scale, small.weight_scale
+    nv = small.vertex_count
+    step = max(1, nv // 8)
+    for u in range(0, nv, step):
+        ambient = single_source_distances(big, sub.parent_vertices[u])
+        row = single_source_distances(small, u)
+        for v in range(nv):
+            if row[v] * big_scale != ambient[sub.parent_vertices[v]] * small_scale:
+                raise InputError(
+                    f"subgraph is not isometric at pair ({u}, {v})")
 
 
 # --- the reference graph reader ----------------------------------------------

@@ -91,6 +91,29 @@ def test_power_exponent_is_capped_without_building_it(tmp_path, capsys,
     assert "edge cap 50" in capsys.readouterr().err
 
 
+def test_power_whose_weights_multiply_past_the_digit_limit_is_a_cap(tmp_path, capsys):
+    # Each weight prints, but the cube's weights 1/q^3 have 4501-digit
+    # denominators, past Python's default limit of 4300: refused with the cap
+    # exit code before any file is opened, not an int-to-str ValueError.
+    q = 10 ** 1500 + 1
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({
+        "vertices": ["s", "a", "t"],
+        "edges": [["s", "a", f"1/{q}"], ["a", "t", f"{q - 1}/{q}"]],
+        "orientation": [["s", "a"], ["a", "t"]], "s": "s", "t": "t",
+        "measure": ["1/2", "1/2"]}))
+    out = tmp_path / "p.json"
+    assert main(["power", "--base", str(base), "--n", "3",
+                 "--out", str(out)]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "decimal digits" in err
+    assert not out.exists()
+    # The square still prints.
+    assert main(["power", "--base", str(base), "--n", "2",
+                 "--out", str(out)]) == EXIT_OK
+
+
 def test_oversized_rationals_are_bad_input(tmp_path, capsys):
     for raw in ("1e9999999999", "1e999999"):
         assert main(["build", "--path", raw]) == EXIT_INPUT

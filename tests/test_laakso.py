@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -7,13 +8,20 @@ import networkx as nx
 import pytest
 
 import slashpow as sp
-from helpers import diamond, laakso0230, laakso1221, theta
+from helpers import (
+    diamond,
+    laakso0230,
+    laakso1221,
+    reference_spot_check_isometry,
+    theta,
+)
 from slashpow.constructions import LaaksoParams, uniform_laakso
 from slashpow.core import cycle_edge_indices, geodesic_metric, single_source_distances
 from slashpow.errors import CapExceeded, InputError, NoCycle, SelectorError
 from slashpow.laakso import (
     LaaksoBase,
     _power_of_two,
+    _spot_check_isometry,
     balanced_laakso_pipeline,
     balancing_power,
     count_max_cycles,
@@ -23,7 +31,7 @@ from slashpow.laakso import (
     max_cycle_edge_count,
     selector_identity_sum,
 )
-from slashpow.slash import slash_power
+from slashpow.slash import LazyPowerMetric, slash_power
 
 DIAMOND_P = LaaksoParams(0, 2, 2, 0)
 L1221_P = LaaksoParams(1, 2, 2, 1)
@@ -355,6 +363,45 @@ def test_pipeline_builds_no_all_pairs_metric_of_its_input():
                sp.build_cycle([F(1, 2)] * 2, [F(1, 3)] * 3)):
         assert balanced_laakso_pipeline(mg).c0 == 2
         assert "metric" not in mg.graph.__dict__
+
+
+def test_isometry_check_matches_dijkstra_over_the_power():
+    # The lazy ambient distances on the sampled pairs against Dijkstra over
+    # the materialized power, on every input that reaches the check (an
+    # input returned at n = 1 does not).
+    checked = []
+    for name, make in PIPELINE_INPUTS.items():
+        r = balanced_laakso_pipeline(make())
+        if r.n == 1:
+            continue
+        big, sub = r.power.graph.graph, r.subgraph
+        assert "und_adj" not in big.__dict__  # the pipeline never walked it
+        lazy = LazyPowerMetric(r.power.base, r.n)
+        labels = [r.power.vertex_label(pv) for pv in sub.parent_vertices]
+        nv = sub.graph.vertex_count
+        for u in range(0, nv, max(1, nv // 8)):
+            ambient = single_source_distances(big, sub.parent_vertices[u])
+            for v in range(nv):
+                assert lazy.distance(labels[u], labels[v]) == F(
+                    ambient[sub.parent_vertices[v]], big.weight_scale)
+        checked.append(name)
+    assert checked == ["0,2,4,0", "0,2,3,0", "theta"]
+
+
+@pytest.mark.parametrize("swap, pair", [((3, 4), (0, 3)), ((1, 17), (4, 1))])
+def test_isometry_check_names_the_first_bad_pair(swap, pair):
+    # theta's subgraph is one 32-cycle, sampled at rows 0, 4, 8, ...;
+    # swapping 1 and 17 (both next to s) leaves row 0 intact.
+    r = balanced_laakso_pipeline(theta())
+    parents = list(r.subgraph.parent_vertices)
+    a, b = swap
+    parents[a], parents[b] = parents[b], parents[a]
+    bad = dataclasses.replace(r.subgraph, parent_vertices=tuple(parents))
+    for check, big in ((_spot_check_isometry, r.power),
+                       (reference_spot_check_isometry, r.power.graph.graph)):
+        with pytest.raises(InputError) as exc:
+            check(big, bad)
+        assert str(exc.value) == f"subgraph is not isometric at pair {pair}"
 
 
 def test_pipeline_path_errors():

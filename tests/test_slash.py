@@ -8,6 +8,7 @@ import slashpow as sp
 from helpers import (
     all_pairs,
     diamond,
+    laakso0230,
     laakso1221,
     reference_layout,
     three_branch,
@@ -283,6 +284,20 @@ def test_lift_path():
         lift_path(pw, 1, route, [(0, 3)] * 2)  # not a base path
 
 
+def test_lift_checks_each_choice_in_step_order():
+    d = diamond()
+    pw = slash_power(d, 2)
+    route = enumerate_st_paths(d.graph)[0]
+    backwards = tuple(reversed(route))
+    # A bad route first used at the second step is still refused ...
+    with pytest.raises(InvalidPath, match="run from s to t"):
+        lift_path(pw, 1, route, [route, backwards])
+    # ... after the first step's own faults.
+    s, a, t = route
+    with pytest.raises(InvalidPath, match="no edge between"):
+        lift_path(pw, 1, (s, t, a), [route, backwards])
+
+
 def test_lift_cycle_checks_the_level():
     d = diamond()
     pw = slash_power(d, 2)
@@ -304,7 +319,9 @@ def test_lift_by_single_edge_graph():
 
 
 def test_lazy_metric_matches_materialized():
-    for base, n in ((diamond(), 2), (diamond(), 3), (laakso1221(), 2)):
+    # Unbalanced (0,2,3,0), uniform and with non-uniform weights, as well.
+    for base, n in ((diamond(), 2), (diamond(), 3), (laakso1221(), 2),
+                    (laakso0230(), 3), (weighted0230(), 3)):
         lazy = LazyPowerMetric(base, n)
         pw = slash_power(base, n)
         m = pw.metric
