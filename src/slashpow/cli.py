@@ -26,8 +26,13 @@ from .constructions import (
     laakso_measure,
     uniform_laakso,
 )
-from .core import StGraph
-from .embeddings import distortion_report, frt_embed, lower_bound_c_nu
+from .core import StGraph, _str_digit_limit
+from .embeddings import (
+    DistortionReport,
+    distortion_report,
+    frt_embed,
+    lower_bound_c_nu,
+)
 from .errors import CapExceeded, InputError, SchemaError, SlashpowError
 from .laakso import (
     balanced_laakso_pipeline,
@@ -192,12 +197,26 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_report_digits(report: DistortionReport) -> None:
+    """Refuse with CapExceeded a report row with a numerator or denominator
+    too long to print (see core._str_digit_limit)."""
+    digits = _str_digit_limit()
+    limit = 10 ** digits
+    for row in report.rows:
+        for x in row[2:]:
+            if x.numerator >= limit or x.denominator >= limit:
+                raise CapExceeded(
+                    f"a report value has more than {digits} decimal digits "
+                    "(the int-to-str limit, PYTHONINTMAXSTRDIGITS)")
+
+
 def _cmd_embed_frt(args: argparse.Namespace) -> int:
     mg = _need_measured(_load_graph(args.graph))
     emb = frt_embed(mg.graph.metric, seed=args.seed, samples=args.samples)
     report = distortion_report(mg, emb)
     value = report.worst_stretch
     if args.report:
+        _check_report_digits(report)
         with open(args.report, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["pair", "d_X", "E_dT", "stretch", "stretch_decimal"])

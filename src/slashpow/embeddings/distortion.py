@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from ..constructions import MeasuredGraph
 from ..core import GeodesicMetric, StGraph, cycle_edge_indices
-from ..errors import EdgeSizeViolation, InputError, NotExpansive
+from ..errors import EdgeSizeViolation, InputError, NotExpansive, WitnessNotFound
 from ..laakso import LaaksoBase, enumerate_max_cycles
 from ..slash import SlashPower
 from .oracle import OracleResult, oracle_min_expected_distortion
@@ -172,7 +172,7 @@ def cycle_embedding_witness(cycle_graph: StGraph, tree: GeodesicTree,
         # 8 d_T(f(e)) >= c0 - d(e), cross-multiplied by scale * tree_scale
         if 8 * tree_rows[u][v] * scale >= (c0 - rows[u][v]) * tree_scale:
             return ei, (u, v)
-    raise AssertionError("no witness edge: the cycle lower bound failed")
+    raise WitnessNotFound("no witness edge: the cycle lower bound failed")
 
 
 def _check_edge_size_condition(base: LaaksoBase) -> None:
@@ -187,20 +187,31 @@ def _check_edge_size_condition(base: LaaksoBase) -> None:
 
 
 def _truncated(power: SlashPower, tree: GeodesicTree, tmap: TreeMap
-               ) -> tuple[LaaksoBase, list[Fraction], Fraction]:
-    """The base, each edge's d_T(f(e)) and the expected truncated stretch;
-    raises InputError, EdgeSizeViolation and NotExpansive in that order."""
+               ) -> tuple[LaaksoBase, int, list[int], Fraction]:
+    """The base, a denominator D, each edge's D * d_T(f(e)) as an integer
+    and the expected truncated stretch; raises InputError,
+    EdgeSizeViolation and NotExpansive in that order."""
     base = LaaksoBase.from_measured(power.base)
     mg = power.graph
     g = mg.graph
     _require_total(g, tmap)
     _check_edge_size_condition(base)
     tree_scale, tree_rows = _expansive_table(power.metric, tree, tmap)
-    edge_dt = [Fraction(tree_rows[u][v], tree_scale) for u, v in g.edges]
     cap = TRUNCATION_COEFF * base.c0
-    value = sum((p * min(dt, cap) / w
-                 for p, dt, w in zip(mg.nu, edge_dt, g.weights)), ZERO)
-    return base, edge_dt, value
+    # Over D = L * cap.denominator the cap and every d_T are integers.
+    denominator, int_cap = tree_scale * cap.denominator, cap.numerator * tree_scale
+    edge_dt = [tree_rows[u][v] * cap.denominator for u, v in g.edges]
+    # Per distinct (nu, weight) pair of objects: nu / weight and the sum of
+    # D min(d_T, cap) over its edges.
+    terms: dict[tuple[int, int], list] = {}
+    for p, w, dt in zip(mg.nu, g.weights, edge_dt):
+        term = terms.get((id(p), id(w)))
+        if term is None:
+            term = terms[id(p), id(w)] = [p / w, 0]
+        term[1] += min(dt, int_cap)
+    value = sum((ratio * Fraction(total, denominator) for ratio, total in terms.values()),
+                ZERO)
+    return base, denominator, edge_dt, value
 
 
 @dataclass(frozen=True)
@@ -216,21 +227,30 @@ def truncated_distortion_bound(power: SlashPower, tree: GeodesicTree,
                                cycles: Optional[Sequence] = None
                                ) -> TruncatedBoundResult:
     """Assert the (3/128) c0 n lower bound and, per maximal cycle, find an
-    edge stretched to at least (c0 - d(e))/8 >= (3/32) c0."""
-    base, edge_dt, value = _truncated(power, tree, tmap)
-    bound = LOWER_COEFF * base.c0 * power.n
+    edge stretched to at least (c0 - d(e))/8 >= (3/32) c0; a cycle without
+    one raises WitnessNotFound."""
+    base, denominator, edge_dt, value = _truncated(power, tree, tmap)
+    c0 = base.c0
+    bound = LOWER_COEFF * c0 * power.n
     if cycles is None:
         cycles = enumerate_max_cycles(power)
     g = power.graph.graph
-    threshold = WITNESS_COEFF * base.c0
-    stretched = [8 * dt >= base.c0 - w and dt >= threshold
-                 for dt, w in zip(edge_dt, g.weights)]
+    # Stretched: 8 d_T >= c0 - w and d_T >= (3/32) c0.  Over D, in integers,
+    # D d_T is at least the ceiling of each right-hand side times D.
+    least = math.ceil(WITNESS_COEFF * c0 * denominator)
+    lows: dict[int, int] = {}
+    for w in g.weights:
+        if id(w) not in lows:
+            lows[id(w)] = max(least, math.ceil((c0 - w) * denominator / 8))
+    stretched = [dt >= lows[id(w)] for dt, w in zip(edge_dt, g.weights)]
     witnesses: list[int] = []
     for c in cycles:
-        found = next((ei for ei in cycle_edge_indices(g, c) if stretched[ei]), -1)
-        if found < 0:
-            raise AssertionError("maximal cycle without a stretched edge")
-        witnesses.append(found)
+        for ei in cycle_edge_indices(g, c):
+            if stretched[ei]:
+                witnesses.append(ei)
+                break
+        else:
+            raise WitnessNotFound("maximal cycle without a stretched edge")
     return TruncatedBoundResult(value=value, bound=bound,
                                 holds=value >= bound,
                                 cycle_witnesses=tuple(witnesses))

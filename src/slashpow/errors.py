@@ -61,5 +61,9 @@ class CapExceeded(SlashpowError):
     """A configured size or enumeration cap would be exceeded."""
 
 
+class WitnessNotFound(SlashpowError):
+    """A lower-bound witness search came back empty: the certified bound failed."""
+
+
 class LPError(SlashpowError):
     """The exact LP solver hit an infeasible or unbounded instance."""

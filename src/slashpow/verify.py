@@ -24,6 +24,7 @@ from .embeddings import (
     oracle_min_expected_distortion,
     truncated_distortion_bound,
 )
+from .errors import WitnessNotFound
 from .laakso import (
     LaaksoBase,
     count_max_cycles,
@@ -157,7 +158,10 @@ def cycle_witness_suite() -> SuiteReport:
             total += 1
             _, weights = optimal_tree_weights(metric, mg.nu, edges)
             tree = GeodesicTree(names=mg.graph.names, edges=edges, weights=weights)
-            cycle_embedding_witness(mg.graph, tree, tmap)  # raises on failure
+            try:
+                cycle_embedding_witness(mg.graph, tree, tmap)
+            except WitnessNotFound:
+                continue
             found += 1
         rows.append(SuiteRow(
             label=f"unit {n}-cycle: all {total} labeled tree topologies",
@@ -176,11 +180,14 @@ def truncated_bound_suite() -> SuiteReport:
 
     power1 = slash_power(mg, 1)
     oracle = oracle_min_expected_distortion(mg)
-    res = truncated_distortion_bound(power1, oracle.tree, oracle.tree_map)
-    rows.append(SuiteRow(
-        label="diamond n=1: oracle-optimal tree",
-        value=f"{res.value} >= {res.bound}",
-        passed=res.holds))
+    try:
+        res = truncated_distortion_bound(power1, oracle.tree, oracle.tree_map)
+    except WitnessNotFound as exc:
+        value, passed = str(exc), False
+    else:
+        value, passed = f"{res.value} >= {res.bound}", res.holds
+    rows.append(SuiteRow(label="diamond n=1: oracle-optimal tree",
+                         value=value, passed=passed))
 
     for n in SUITE_POWERS:
         power = slash_power(mg, n)
@@ -189,7 +196,10 @@ def truncated_bound_suite() -> SuiteReport:
         good = 0
         for seed in range(THM41_SEEDS):
             tree, tmap = frt_tree(metric, random.Random(seed))
-            res = truncated_distortion_bound(power, tree, tmap, cycles=cycles)
+            try:
+                res = truncated_distortion_bound(power, tree, tmap, cycles=cycles)
+            except WitnessNotFound:
+                continue
             if res.holds:
                 good += 1
         rows.append(SuiteRow(

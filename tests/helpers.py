@@ -12,10 +12,12 @@ from slashpow.constructions import (
     cycle_st_graph,
     uniform_laakso,
 )
-from slashpow.core import StGraph, single_source_distances
-from slashpow.embeddings import GeodesicTree
-from slashpow.errors import InputError, SchemaError
+from slashpow.core import StGraph, cycle_edge_indices, single_source_distances
+from slashpow.embeddings import GeodesicTree, TreeMap, TruncatedBoundResult, distortion
+from slashpow.errors import InputError, SchemaError, WitnessNotFound
+from slashpow.laakso import LaaksoBase, enumerate_max_cycles
 from slashpow.serialization import parse_fraction
+from slashpow.slash import SlashPower
 from slashpow.verify import unit_cycle_measured  # noqa: F401  (shared fixture)
 
 
@@ -64,6 +66,59 @@ def three_branch() -> MeasuredGraph:
         s=0, t=4)
     nu = (F(1, 6),) * 6
     return MeasuredGraph(graph=g, nu=nu)
+
+
+def wide_path_doc(digits: int = 1500) -> dict:
+    """The path s-a-b-t with weights 1/p for the three odd, so pairwise
+    coprime, p = 10**digits + 1, 3, 5.  At the default each weight prints,
+    but the metric's scale, their product, passes the int-to-str digit
+    limit."""
+    p = [10 ** digits + k for k in (1, 3, 5)]
+    return {"vertices": ["s", "a", "b", "t"],
+            "edges": [["s", "a", f"1/{p[0]}"], ["a", "b", f"1/{p[1]}"],
+                      ["b", "t", f"1/{p[2]}"]],
+            "orientation": [["s", "a"], ["a", "b"], ["b", "t"]],
+            "s": "s", "t": "t", "measure": ["1/3"] * 3}
+
+
+def search_spanning_tree(g: StGraph, breadth_first: bool = False) -> GeodesicTree:
+    """Spanning tree of g on its own vertices, names and weights, grown from
+    s over und_adj: a vertex joins when first reached, and the search goes
+    on from the newest reached vertex (depth first) or the oldest (breadth
+    first).  With the identity map it is expansive and stretches none of
+    its own edges."""
+    seen, ids, todo = {g.s}, [], [g.s]
+    while todo:
+        u = todo.pop(0 if breadth_first else -1)
+        for v, ei in g.und_adj[u]:
+            if v not in seen:
+                seen.add(v)
+                ids.append(ei)
+                todo.append(v)
+    return GeodesicTree(names=g.names, edges=tuple(g.edges[i] for i in ids),
+                        weights=tuple(g.weights[i] for i in ids))
+
+
+def random_spanning_tree(g: StGraph, rng) -> GeodesicTree:
+    """Kruskal's forest over the edges in a random order: a spanning tree on
+    g's own vertices, names and weights."""
+    root = list(range(g.vertex_count))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    order = list(range(g.edge_count))
+    rng.shuffle(order)
+    ids = []
+    for ei in order:
+        a, b = (find(x) for x in g.edges[ei])
+        if a != b:
+            root[a] = b
+            ids.append(ei)
+    return GeodesicTree(names=g.names, edges=tuple(g.edges[i] for i in ids),
+                        weights=tuple(g.weights[i] for i in ids))
 
 
 def all_pairs(n: int):
@@ -118,6 +173,38 @@ def reference_spot_check_isometry(big: StGraph, sub: LaaksoSubgraph) -> None:
             if row[v] * big_scale != ambient[sub.parent_vertices[v]] * small_scale:
                 raise InputError(
                     f"subgraph is not isometric at pair ({u}, {v})")
+
+
+def reference_truncated_bound(power: SlashPower, tree: GeodesicTree,
+                              tmap: TreeMap, cycles=None) -> TruncatedBoundResult:
+    """Slow reference for distortion.truncated_distortion_bound: the same
+    checks in the same order, then each edge's d_T(f(e)) as a Fraction, the
+    expected truncated stretch summed edge by edge in Fractions, and each
+    cycle's first stretched edge found with a generator."""
+    base = LaaksoBase.from_measured(power.base)
+    mg = power.graph
+    g = mg.graph
+    distortion._require_total(g, tmap)
+    distortion._check_edge_size_condition(base)
+    tree_scale, tree_rows = distortion._expansive_table(power.metric, tree, tmap)
+    edge_dt = [Fraction(tree_rows[u][v], tree_scale) for u, v in g.edges]
+    cap = distortion.TRUNCATION_COEFF * base.c0
+    value = sum((p * min(dt, cap) / w
+                 for p, dt, w in zip(mg.nu, edge_dt, g.weights)), F(0))
+    bound = distortion.LOWER_COEFF * base.c0 * power.n
+    if cycles is None:
+        cycles = enumerate_max_cycles(power)
+    threshold = distortion.WITNESS_COEFF * base.c0
+    stretched = [8 * dt >= base.c0 - w and dt >= threshold
+                 for dt, w in zip(edge_dt, g.weights)]
+    witnesses = []
+    for c in cycles:
+        found = next((ei for ei in cycle_edge_indices(g, c) if stretched[ei]), -1)
+        if found < 0:
+            raise WitnessNotFound("maximal cycle without a stretched edge")
+        witnesses.append(found)
+    return TruncatedBoundResult(value=value, bound=bound, holds=value >= bound,
+                                cycle_witnesses=tuple(witnesses))
 
 
 # --- the reference graph reader ----------------------------------------------

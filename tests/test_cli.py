@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import diamond
+from helpers import diamond, wide_path_doc
 from slashpow import serialization as ser
-from slashpow.cli import EXIT_CAP, EXIT_INPUT, EXIT_IO, EXIT_OK, _write, main
+from slashpow import verify
+from slashpow.cli import EXIT_CAP, EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY, _write, main
 from slashpow.constructions import (LaaksoParams, MeasuredGraph, laakso_measure,
                                     uniform_laakso)
 from slashpow.core import StGraph
+from slashpow.embeddings import distortion
 from slashpow.laakso import balanced_laakso_pipeline, find_balanced_laakso
 from slashpow.slash import slash_power
 
@@ -112,6 +114,27 @@ def test_power_whose_weights_multiply_past_the_digit_limit_is_a_cap(tmp_path, ca
     # The square still prints.
     assert main(["power", "--base", str(base), "--n", "2",
                  "--out", str(out)]) == EXIT_OK
+
+
+def test_embed_frt_report_past_the_digit_limit_is_a_cap(tmp_path, capsys):
+    # The metric's scale is the product of three coprime 1,501-digit
+    # denominators, so a distance prints with a 4,503-digit denominator, past
+    # Python's default limit of 4300: refused before the report is opened.
+    graph, report = tmp_path / "p3.json", tmp_path / "r.csv"
+    graph.write_text(json.dumps(wide_path_doc()))
+    argv = ["embed-frt", "--graph", str(graph), "--seed", "1", "--samples", "2"]
+    assert main([*argv, "--report", str(report), "--json"]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "decimal digits" in err
+    assert not report.exists()
+    # Without a report only the worst stretch prints, and it fits.
+    assert main([*argv, "--json"]) == EXIT_OK
+    # At 1,400-digit denominators a distance's denominator has about 4,200
+    # digits, under the limit, and every row prints.
+    graph.write_text(json.dumps(wide_path_doc(1400)))
+    assert main([*argv, "--report", str(report)]) == EXIT_OK
+    assert len(report.read_text().splitlines()) == 7
 
 
 def test_oversized_rationals_are_bad_input(tmp_path, capsys):
@@ -339,6 +362,37 @@ def test_verify_cor42(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
     assert len(doc["rows"]) == 4
+
+
+def test_missing_witness_fails_the_thm41_suite(monkeypatch, capsys):
+    # No edge reaches a witness threshold of 100 c0: every row fails and the
+    # command exits 2, with no traceback.
+    monkeypatch.setattr(distortion, "WITNESS_COEFF", F(100))
+    monkeypatch.setattr(verify, "THM41_SEEDS", 3)
+    assert main(["verify", "--suite", "thm41"]) == EXIT_VERIFY
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] diamond n=1: oracle-optimal tree: "
+        "maximal cycle without a stretched edge",
+        "[FAIL] diamond n=1: 3 seeded dominating trees: "
+        "0/3 above (3/128) c0 n with cycle witnesses",
+        "[FAIL] diamond n=2: 3 seeded dominating trees: "
+        "0/3 above (3/128) c0 n with cycle witnesses"]
+
+
+def test_missing_witness_fails_the_lemma31_suite(monkeypatch, capsys):
+    # A tree table of zeros stretches no cycle edge, so every witness search
+    # comes back empty and the command exits 2, with no traceback.
+    def zeros(metric, *_):
+        n = len(metric.rows)
+        return 1, [[0] * n for _ in range(n)]
+
+    monkeypatch.setattr(distortion, "_expansive_table", zeros)
+    monkeypatch.setattr(verify, "LEMMA31_SIZES", (4, 5))
+    assert main(["verify", "--suite", "lemma31"]) == EXIT_VERIFY
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] unit 4-cycle: all 16 labeled tree topologies: 0/16 witness edges found",
+        "[FAIL] unit 5-cycle: all 125 labeled tree topologies: "
+        "0/125 witness edges found"]
 
 
 def test_count_cycles_too_long_to_print_is_a_cap(capsys):

@@ -4,7 +4,15 @@ from fractions import Fraction as F
 import pytest
 
 import slashpow as sp
-from helpers import diamond, laakso1221, path_tree, unit_cycle
+from helpers import (
+    diamond,
+    laakso1221,
+    path_tree,
+    random_spanning_tree,
+    reference_truncated_bound,
+    search_spanning_tree,
+    unit_cycle,
+)
 from slashpow.core import geodesic_metric
 from slashpow.embeddings import (
     GeodesicTree,
@@ -20,9 +28,10 @@ from slashpow.embeddings import (
     lower_bound_c_nu,
     oracle_min_expected_distortion,
     stochastic_distortion_of,
+    distortion,
     truncated_distortion_bound,
 )
-from slashpow.errors import EdgeSizeViolation, InputError, NotExpansive
+from slashpow.errors import EdgeSizeViolation, InputError, NotExpansive, WitnessNotFound
 from slashpow.laakso import enumerate_max_cycles
 from slashpow.slash import slash_power
 
@@ -206,6 +215,77 @@ def test_truncated_bound_seeded_trees_both_bases():
                 out = truncated_distortion_bound(power, tree, tmap, cycles=cycles)
                 assert out.holds
                 assert len(out.cycle_witnesses) == len(cycles)
+
+
+def weighted1331():
+    """Weights 1/6 and 1/3: its square has six distinct (nu, weight) pairs."""
+    return sp.build_laakso((1, 3, 3, 1), [F(1, 6)], [F(1, 6), F(1, 6), F(1, 3)],
+                           [F(1, 3), F(1, 6), F(1, 6)], [F(1, 6)])
+
+
+# Bases and powers on which the integer Thm 4.1 check must equal the
+# Fraction reference.
+REFERENCE_POWERS = [(diamond, 1), (diamond, 2), (diamond, 3), (laakso1221, 1),
+                    (laakso1221, 2), (weighted1331, 2)]
+
+
+@pytest.mark.parametrize("base, n", REFERENCE_POWERS)
+def test_truncated_bound_matches_fraction_reference(base, n):
+    # FRT trees stretch the first edge of every cycle and hit the truncation
+    # cap on every edge; spanning trees with the graph's own weights stretch
+    # none of their edges, so witnesses lie further along and values fall
+    # below the cap.
+    power = slash_power(base(), n)
+    g = power.graph.graph
+    cycles = enumerate_max_cycles(power)
+    identity = identity_tree_map(g.vertex_count)
+    cases = [frt_tree(power.metric, random.Random(seed)) for seed in range(4)]
+    cases += [(tree, identity) for tree in (
+        search_spanning_tree(g), search_spanning_tree(g, breadth_first=True),
+        random_spanning_tree(g, random.Random(0)),
+        random_spanning_tree(g, random.Random(1)))]
+    for tree, tmap in cases:
+        got = truncated_distortion_bound(power, tree, tmap, cycles=cycles)
+        assert repr(got) == repr(reference_truncated_bound(power, tree, tmap, cycles))
+
+
+def test_truncated_bound_of_a_spanning_tree_of_diamond3():
+    # An exact value below the cap (the FRT goldens are all 3/4), with
+    # witnesses past each cycle's first edge.
+    power = slash_power(diamond(), 3)
+    g = power.graph.graph
+    out = truncated_distortion_bound(power, search_spanning_tree(g),
+                                     identity_tree_map(g.vertex_count))
+    assert (out.value, out.bound) == (F(149, 128), F(9, 64))
+    assert out.holds
+    assert set(out.cycle_witnesses) == {1, 3, 9, 11}
+    assert len(out.cycle_witnesses) == 4096
+
+
+def test_truncated_bound_at_the_witness_threshold():
+    # Scaled by 15/8, each tree edge of the spanning tree of diamond^3 has
+    # 8 d_T = 15/8 = c0 - d(e) exactly and counts as stretched; 1/1024 less,
+    # and the witnesses move back past each cycle's first edge.
+    power = slash_power(diamond(), 3)
+    g = power.graph.graph
+    tree, identity = search_spanning_tree(g), identity_tree_map(g.vertex_count)
+    witnesses = []
+    for factor in (F(15, 8), F(15, 8) - F(1, 1024)):
+        scaled = tree.scaled(factor)
+        out = truncated_distortion_bound(power, scaled, identity)
+        assert repr(out) == repr(reference_truncated_bound(power, scaled, identity))
+        assert out.value == F(3, 2)
+        witnesses.append(set(out.cycle_witnesses))
+    assert witnesses == [{0, 2, 8, 10}, {1, 3, 9, 11}]
+
+
+def test_truncated_bound_without_a_witness_raises(monkeypatch):
+    power = slash_power(diamond(), 2)
+    tree, tmap = frt_tree(power.metric, random.Random(0))
+    monkeypatch.setattr(distortion, "WITNESS_COEFF", F(100))
+    for check in (truncated_distortion_bound, reference_truncated_bound):
+        with pytest.raises(WitnessNotFound, match="without a stretched edge"):
+            check(power, tree, tmap)
 
 
 def test_lower_bound_report():

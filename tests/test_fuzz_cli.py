@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import wide_path_doc
 from slashpow.cli import main
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -34,8 +35,10 @@ VALUES = {
     "--cycle": ("1,1;1,1", "1;2", "1;1", "1,1", ";"),
     "--laakso": ("0,2,2,0", "0,2,3,0", "0,2,2", "a,b,c,d", "1000000000,2,2,0"),
     "--weights": (";1/2,1/2;1/3,1/3,1/3;", ";1;1;", "x"),
-    "--base": ("diamond.json", "edge.json", "deep.json", "latin.json", "absent.json"),
-    "--graph": ("diamond.json", "edge.json", "deep.json", "latin.json", "absent.json"),
+    "--base": ("diamond.json", "edge.json", "deep.json", "latin.json", "wide.json",
+               "absent.json"),
+    "--graph": ("diamond.json", "edge.json", "deep.json", "latin.json", "wide.json",
+                "absent.json"),
     "--n": ("1", "2", "3", "0", "-1", "13", "10000", "1000000000000", "x"),
     "--params": ("0,2,2,0", "1,2,2,1", "0,2,3,0", "0,2,2", "1000000000,2,2,0"),
     "--edge-label": ("0/1", "1/1", "0", "a/b", "9/9"),
@@ -56,6 +59,7 @@ def workdir(tmp_path_factory):
     assert main(["build", "--path", "1", "--out", str(root / "edge.json")]) == 0
     (root / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (root / "latin.json").write_bytes(b'{"vertices": ["\xe9"]}')
+    (root / "wide.json").write_text(json.dumps(wide_path_doc()))
     return root
 
 
@@ -102,9 +106,25 @@ argvs = st.tuples(st.sampled_from(COMMANDS), st.lists(option, max_size=5)).map(
 @example(argv=["count-cycles", "--params", "0,2,2,0", "--n", "1000000000000"])
 @example(argv=["embed-frt", "--graph", "diamond.json", "--seed", "1",
                "--samples", "1000000000000"])
+@example(argv=["embed-frt", "--graph", "wide.json", "--seed", "1", "--samples", "2",
+               "--report", "r.csv", "--json"])
 @settings(max_examples=150, derandomize=True)
 def test_fuzz_argv(workdir, argv):
     _check(workdir, argv)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["power", "--base", "wide.json", "--n", "3"], 3),  # not normalized
+    (["pipeline", "--graph", "wide.json"], 3),
+    (["embed-frt", "--graph", "wide.json", "--seed", "1", "--samples", "2"], 0),
+    (["embed-frt", "--graph", "wide.json", "--seed", "1", "--samples", "2",
+      "--report", "r.csv"], 4),
+    (["oracle", "--graph", "wide.json", "--json"], 0),
+    (["export-dot", "--graph", "wide.json"], 0),
+])
+def test_every_graph_command_on_wide_denominators(workdir, argv, code):
+    _check(workdir, argv)
+    assert _run(workdir, argv)[0] == code
 
 
 rationals = st.sampled_from(["1/2", "1", "1/4", "0", "-1", "1/0", "x",
