@@ -1,13 +1,16 @@
 """Random dominating trees by hierarchical ball partitioning.
 
-A seeded run draws a radius scale from a dyadic rational grid and a vertex
-permutation, then refines the point set level by level: each point joins the
-first permutation vertex whose ball of the current radius covers it.  The
-laminar family becomes a tree with level-proportional edge weights, and a
-final exact scaling pass makes every tree dominate the source metric, so
-expansiveness never depends on luck.  All arithmetic stays rational: the
-ball tests and the domination pass compare integers over the metric's and
-the tree's common denominators.
+A seeded run draws a radius scale beta from a dyadic rational grid in
+[1/2, 1) and a vertex permutation, then refines the point set level by
+level: each point joins the first permutation vertex whose ball of radius
+beta 2^level covers it.  The laminar family becomes a tree whose level-l
+edges weigh 2^(l+1), with 2^top the least power of two at or above the
+diameter.  The tree dominates the source metric by construction: two points
+that first split at level l share a parent cluster of diameter at most
+2 beta 2^(l+1) < 2^(l+2) (the root's is at most 2^top = 2^(l+1)), and their
+tree path crosses two level-l edges, so d_T >= 2^(l+2) > d.  All arithmetic
+stays rational: the levels and the ball tests are integers over the
+metric's common denominator.
 """
 
 from __future__ import annotations
@@ -23,14 +26,11 @@ TWO = Fraction(2)
 RADIUS_GRID = 1 << 20  # grid resolution for the random scale in [1/2, 1)
 
 
-def _scale_power(delta: Fraction) -> int:
-    """Smallest integer p with 2^p >= delta (p may be negative)."""
-    p = 0
-    while TWO ** p < delta:
-        p += 1
-    while TWO ** (p - 1) >= delta:
-        p -= 1
-    return p
+def _ceil_log2(num: int, den: int) -> int:
+    """Smallest integer p with 2^p >= num/den, for positive num and den."""
+    if num >= den:
+        return ((num - 1) // den).bit_length()
+    return 1 - (den // num).bit_length()
 
 
 def frt_tree(metric: GeodesicMetric, rng: random.Random
@@ -43,10 +43,6 @@ def frt_tree(metric: GeodesicMetric, rng: random.Random
         for v in range(u + 1, n):
             if rows[u][v] == 0:
                 raise DegenerateMetric(f"vertices {u} and {v} coincide")
-    if n == 1:
-        tree = GeodesicTree(names=(g.names[0],), edges=(), weights=(),
-                            steiner=(False,))
-        return tree, TreeMap(vertex_map=(0,))
     if n == 2:
         tree = GeodesicTree(names=g.names, edges=((0, 1),),
                             weights=(metric.d(0, 1),), steiner=(False, False))
@@ -57,7 +53,7 @@ def frt_tree(metric: GeodesicMetric, rng: random.Random
     order = list(range(n))
     rng.shuffle(order)
 
-    top = _scale_power(metric.diameter)
+    top = _ceil_log2(*metric.diameter.as_integer_ratio())
     names: list[str] = ["c0"]
     steiner: list[bool] = [True]
     edges: list[tuple[int, int]] = []
@@ -73,6 +69,7 @@ def frt_tree(metric: GeodesicMetric, rng: random.Random
             radius = (b * scale << level) // RADIUS_GRID
         else:
             radius = b * scale // (RADIUS_GRID << -level)
+        weight = TWO ** (level + 1)
         next_active: list[tuple[int, tuple[int, ...]]] = []
         for parent_node, members in active:
             groups: dict[int, list[int]] = {}
@@ -94,42 +91,34 @@ def frt_tree(metric: GeodesicMetric, rng: random.Random
                     steiner.append(True)
                     next_active.append((node, part))
                 edges.append((node, parent_node))
-                weights.append(TWO ** (level + 1))
+                weights.append(weight)
         active = next_active
         level -= 1
 
     tree = GeodesicTree(names=tuple(names), edges=tuple(edges),
                         weights=tuple(weights), steiner=tuple(steiner))
-    tmap = TreeMap(vertex_map=tuple(vertex_node))
-
-    # Exact domination pass: one global scale factor suffices.  The largest
-    # ratio d(u, v) / d_T(u, v) = (rows * tree_scale) / (tree_rows * scale)
-    # is kept as the pair (best_d, best_t), starting from ratio 1.
-    tree_scale, tree_rows = tree.scaled_distances(tmap.vertex_map)
-    best_d, best_t = scale, tree_scale
-    for u in range(n):
-        row, tree_row = rows[u], tree_rows[u]
-        for v in range(u + 1, n):
-            if row[v] * best_t > best_d * tree_row[v]:
-                best_d, best_t = row[v], tree_row[v]
-    if (best_d, best_t) != (scale, tree_scale):
-        tree = tree.scaled(Fraction(best_d * tree_scale, best_t * scale))
-    return tree, tmap
+    return tree, TreeMap(vertex_map=tuple(vertex_node))
 
 
 def frt_embed(metric: GeodesicMetric, seed: int, samples: int
               ) -> StochasticTreeEmbedding:
     """Uniform mixture of `samples` seeded dominating trees.
 
-    Each tree is counted as 2n - 1 vertices, the most a tree on n leaves
-    has when its inner vertices all branch; more than edge_cap() in all is
-    refused before any tree is drawn.
+    A tree has at most n vertices per level below its root, and its levels
+    run from top - 1 down to the first whose radius, under 2^level, is below
+    the least nonzero distance d_min: max(1, top - floor(log2 d_min)) levels.
+    More than edge_cap() vertices in all is refused before any tree is drawn.
     """
     if samples < 1:
         raise InputError("need at least one sample")
-    per_tree = 2 * metric.source.vertex_count - 1
+    scale = metric.scale
+    # Coincident points are refused by frt_tree; any positive default will do.
+    least = min((x for row in metric.rows for x in row if x), default=scale)
+    # floor(log2 (least / scale)) == -ceil(log2 (scale / least))
+    levels = _ceil_log2(*metric.diameter.as_integer_ratio()) + _ceil_log2(scale, least)
+    per_tree = 1 + metric.source.vertex_count * max(1, levels)
     if samples * per_tree > edge_cap():
-        raise CapExceeded(f"{samples} trees of {per_tree} vertices exceed "
+        raise CapExceeded(f"{samples} trees of up to {per_tree} vertices exceed "
                           f"edge cap {edge_cap()}")
     p = Fraction(1, samples)
     components = []

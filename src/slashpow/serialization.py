@@ -32,14 +32,20 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .constructions import MeasuredGraph
 from .core import StGraph, _str_digit_limit
-from .errors import InputError, SchemaError
+from .errors import CapExceeded, InputError, SchemaError
 
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    """The string "num/den"; CapExceeded past core._str_digit_limit."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise CapExceeded(
+            f"a rational has more than {_str_digit_limit()} decimal digits "
+            "(the int-to-str limit, PYTHONINTMAXSTRDIGITS)") from exc
 
 
 def parse_fraction(raw: Any) -> Fraction:

@@ -7,6 +7,7 @@ traced benchmark run; these checks see it in the test suite.  They run in a
 subprocess, so the tracer's wrappers reach no other test.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -22,13 +23,23 @@ COUNTER_SPANS = {
     "slash.edges_materialized": "slash.slash_power",
 }
 
+# bench/run.py PINNED fixes the oracle workload's lp.solve_min and
+# oracle.optimal_tree_weights counts and the frt workload's frt_tree count, so
+# the probe also runs the oracle on uniform (1,2,2,1), that workload's share
+# of both oracle pins, and a small FRT mixture.  An oracle that stops solving
+# one LP per topology must re-pin PINNED and ORACLE_1221_TREES together.
+ORACLE_1221_TREES = 1296
+FRT_SAMPLES = 3
+
 PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import run, tracer
 import slashpow.core as core
+import slashpow.embeddings as embeddings
 import slashpow.serialization as serialization
 from slashpow import diamond, slash_power
+from slashpow.constructions import uniform_laakso
 
 rec = tracer.Recorder()
 report = tracer.install(rec)
@@ -37,20 +48,29 @@ core.geodesic_metric(g)
 # A non-ASCII unknown key: the hook must count bytes, not characters.
 text = serialization.dumps(diamond())[:-2] + ', "note": "' + chr(233) + '"}'
 serialization.loads(text)
+calls = {name: rec.name_ids.count(i) for i, name in enumerate(rec.names)}
+counters = dict(rec.counters)
+embeddings.lower_bound_c_nu(uniform_laakso((1, 2, 2, 1)))
+embeddings.frt_embed(core.geodesic_metric(diamond().graph), seed=1,
+                     samples=int(sys.argv[2]))
 print(json.dumps({
     "pinned": sorted({name for _, name in run.PINNED}),
     "missing": report["missing"],
-    "calls": {name: rec.name_ids.count(i) for i, name in enumerate(rec.names)},
-    "counters": rec.counters,
+    "calls": calls,
+    "counters": counters,
+    "later_calls": {name: rec.name_ids.count(i) - calls[name]
+                    for i, name in enumerate(rec.names)},
     "n": g.vertex_count,
     "text_bytes": len(text.encode()),
 }))
 """
 
 
+@functools.cache
 def run_probe() -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", PROBE, str(ROOT / "bench")],
+    done = subprocess.run([sys.executable, "-c", PROBE, str(ROOT / "bench"),
+                           str(FRT_SAMPLES)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -74,6 +94,14 @@ def test_every_pinned_count_reads_a_wrapped_function():
     assert probe["calls"]["core.geodesic_metric"] == 1
     assert probe["calls"]["core.single_source_distances"] == n
     assert probe["counters"]["core.vertices_settled"] == n * n
+
+
+def test_pinned_oracle_and_frt_counts_read_their_spans():
+    probe = run_probe()
+    calls = probe["later_calls"]
+    assert calls["lp.solve_min"] == ORACLE_1221_TREES
+    assert calls["oracle.optimal_tree_weights"] == ORACLE_1221_TREES
+    assert calls["frt.frt_tree"] == FRT_SAMPLES
 
 
 def test_bytes_read_counts_the_text_loads_is_given():

@@ -193,6 +193,36 @@ def test_oracle_command(capsys, diamond_file):
     assert doc["general"] == "3/16"
 
 
+def test_oracle_bound_past_the_digit_limit_is_a_cap(tmp_path, capsys):
+    # Every weight of the cycle prints (4,300-digit denominators), but the
+    # general bound, value/8, has a 4,301-digit denominator: serialization's
+    # fraction_str refuses it with the cap exit code and one error line.
+    q = 2 * 10 ** 4299 + 2
+    graph = tmp_path / "c.json"
+    assert main(["build", "--cycle", f"1/{q},{q - 1}/{q};1/2,1/2",
+                 "--out", str(graph)]) == EXIT_OK
+    for extra in ([], ["--json"]):
+        assert main(["oracle", "--graph", str(graph), *extra]) == EXIT_CAP
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert len(err.splitlines()) == 1 and "decimal digits" in err
+
+
+def test_embed_frt_sample_cap_counts_every_level(tmp_path, capsys, monkeypatch):
+    # On s-a-t with weights 10^-300 and 1 - 10^-300 a tree has about 1,000
+    # vertices, not 2n - 1 = 5: each is counted as 1 + 3 * 997 = 2,992.
+    q = 10 ** 300
+    graph = tmp_path / "p.json"
+    assert main(["build", "--path", f"1/{q},{q - 1}/{q}", "--out", str(graph)]) == EXIT_OK
+    monkeypatch.setenv("SLASHPOW_MAX_EDGES", "2992")
+    argv = ["embed-frt", "--graph", str(graph), "--seed", "1"]
+    assert main([*argv, "--samples", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*argv, "--samples", "2"]) == EXIT_CAP
+    err = capsys.readouterr().err
+    assert err == "error: 2 trees of up to 2992 vertices exceed edge cap 2992\n"
+
+
 def test_embed_frt_reports_are_byte_identical(tmp_path, diamond_file):
     r1, r2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for r in (r1, r2):

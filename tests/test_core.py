@@ -256,6 +256,19 @@ def test_st_path_length_range():
     assert st_path_length_range(uneven) == (F(2, 3), F(1))
 
 
+def test_st_path_length_range_with_a_directed_cycle():
+    # a -> b -> c -> a is a directed cycle, so there is no topological order
+    # and the range comes from enumerating the simple s-t paths:
+    # s c t, s c a b t, s a b t and s a b c t.
+    s, a, b, c, t = range(5)
+    g = StGraph(names=("s", "a", "b", "c", "t"),
+                edges=((s, a), (a, b), (b, c), (c, a), (b, t), (c, t), (s, c)),
+                weights=(F(1),) * 7, s=s, t=t)
+    assert validate_st_graph(g).ok and g.topo_order is None
+    assert len(enumerate_st_paths(g)) == 4
+    assert st_path_length_range(g) == (F(2), F(4))
+
+
 def test_enumerate_cycles():
     assert enumerate_cycles(build_path([F(1)] * 2).graph) == ()
     assert len(enumerate_cycles(diamond().graph)) == 1

@@ -7,7 +7,7 @@ import slashpow as sp
 from helpers import all_pairs, diamond
 from slashpow.core import GeodesicMetric, geodesic_metric
 from slashpow.embeddings import check_expansive, frt_embed, frt_tree
-from slashpow.errors import DegenerateMetric, InputError
+from slashpow.errors import CapExceeded, DegenerateMetric, InputError
 
 
 def test_two_point_metric_single_edge():
@@ -58,12 +58,32 @@ def test_degenerate_metric_rejected():
         frt_tree(broken, random.Random(0))
 
 
-def test_domination_survives_scaling_exactness():
-    # The final scaling factor is a single exact Fraction: the minimum
-    # stretch over pairs is exactly 1 afterwards for at least one pair.
+def test_trees_dominate_by_construction():
+    # No scaling pass follows the partition: two points that first split at
+    # level l are under 2^(l+2) apart, and at least 2^(l+2) apart in the tree.
     metric = geodesic_metric(diamond().graph)
     for seed in range(10):
         tree, tmap = frt_tree(metric, random.Random(seed))
         ratios = [tree.distance(tmap(u), tmap(v)) / metric.d(u, v)
                   for u, v in all_pairs(4)]
         assert min(ratios) >= 1
+
+
+def test_sample_cap_counts_every_level():
+    # A cluster that survives k dyadic levels adds a chain of k Steiner
+    # nodes: on s-a-t with weights 10^-300 and 1 - 10^-300 the pair {s, a}
+    # stays together from level -1 down to about level -997.
+    eps = F(1, 10 ** 300)
+    metric = geodesic_metric(sp.build_path([eps, 1 - eps]).graph)
+    sizes = {frt_tree(metric, random.Random(seed))[0].vertex_count
+             for seed in range(5)}
+    assert sizes == {999, 1000}  # not 2n - 1 = 5
+    # Each tree is counted as 1 + 3 * 997 vertices (floor(log2 10^-300) is -997).
+    with pytest.raises(CapExceeded, match="trees of up to 2992 vertices"):
+        frt_embed(metric, seed=0, samples=10 ** 6)
+    # On the diamond every tree has one level of four leaves: the bound, 5.
+    metric = geodesic_metric(diamond().graph)
+    assert {frt_tree(metric, random.Random(seed))[0].vertex_count
+            for seed in range(5)} == {5}
+    with pytest.raises(CapExceeded, match="trees of up to 5 vertices"):
+        frt_embed(metric, seed=0, samples=10 ** 6)

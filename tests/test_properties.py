@@ -1,6 +1,8 @@
 """Property tests over randomized normalized measured graphs: product
-invariants, serialization round-trips, and metric axioms."""
+invariants, serialization round-trips, metric axioms, and the strict
+domination of sampled FRT trees."""
 
+import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ import slashpow as sp
 from slashpow import serialization as ser
 from slashpow.constructions import build_cycle, build_laakso, build_path
 from slashpow.core import geodesic_metric, is_normalized_geodesic_st
+from slashpow.embeddings import frt_tree
 
 positive = st.builds(F, st.integers(1, 9), st.integers(1, 9))
 
@@ -99,3 +102,19 @@ def test_metric_axioms_random(mg):
             assert m.d(u, v) == m.d(v, u) > 0
             for w in range(n):
                 assert m.d(u, v) <= m.d(u, w) + m.d(w, v)
+
+
+@given(measured_graphs, st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_frt_trees_strictly_dominate(mg, seed):
+    # frt_tree has no repair step: two points that first split at level l are
+    # under 2^(l+2) apart, and the tree path between them crosses two level-l
+    # edges of weight 2^(l+1).  Only a two-point metric gets its one exact edge.
+    metric = geodesic_metric(mg.graph)
+    n = mg.graph.vertex_count
+    tree, tmap = frt_tree(metric, random.Random(seed))
+    tree_scale, tree_rows = tree.scaled_distances(tmap.vertex_map)
+    for u in range(n):
+        for v in range(u + 1, n):
+            d_t, d = tree_rows[u][v] * metric.scale, metric.rows[u][v] * tree_scale
+            assert d_t > d or (n == 2 and d_t == d), (u, v)
