@@ -213,7 +213,7 @@ def _check_report_digits(report: DistortionReport) -> None:
 def _cmd_embed_frt(args: argparse.Namespace) -> int:
     mg = _need_measured(_load_graph(args.graph))
     emb = frt_embed(mg.graph.metric, seed=args.seed, samples=args.samples)
-    report = distortion_report(mg, emb)
+    report = distortion_report(mg.graph, emb)
     value = report.worst_stretch
     if args.report:
         _check_report_digits(report)

@@ -314,7 +314,7 @@ class GeodesicMetric:
 
     @cached_property
     def diameter(self) -> Fraction:
-        return max(max(row) for row in self.dist)
+        return Fraction(max(map(max, self.rows)), self.scale)
 
 
 def single_source_distances(g: StGraph, src: int) -> tuple[int, ...]:

@@ -32,7 +32,11 @@ def expected_distortion(mg: MeasuredGraph, tree: GeodesicTree,
     """Measure-weighted average over edges of d_T(f(e)) / d_G(e), exact."""
     g = mg.graph
     _require_total(g, tmap)
-    return _expected_stretch(g.metric, mg.nu, tree.scaled_distances(tmap.vertex_map))
+    metric = g.metric
+    scale, rows = metric.scale, metric.rows
+    tree_scale, tree_rows = tree.scaled_distances(tmap.vertex_map)
+    return sum((p * Fraction(tree_rows[u][v] * scale, tree_scale * rows[u][v])
+                for p, (u, v) in zip(mg.nu, g.edges)), ZERO)
 
 
 def check_expansive(metric: GeodesicMetric, tree: GeodesicTree,
@@ -76,23 +80,21 @@ def _expansive_table(metric: GeodesicMetric, tree: GeodesicTree, tmap: TreeMap,
     return table
 
 
-def _expected_stretch(metric: GeodesicMetric, nu: Sequence[Fraction],
-                      table: _Scaled) -> Fraction:
-    """Sum over edges of nu(e) d_T(f(e)) / d(e), from the tree's table."""
-    scale, rows = metric.scale, metric.rows
-    tree_scale, tree_rows = table
-    return sum((p * Fraction(tree_rows[u][v] * scale, tree_scale * rows[u][v])
-                for p, (u, v) in zip(nu, metric.source.edges)), ZERO)
-
-
 _PairRow = tuple[int, int, Fraction, Fraction, Fraction]  # (u, v, d_X, mean d_T, stretch)
 
 
-def _pair_rows(g: StGraph, emb: StochasticTreeEmbedding,
-               nu: Optional[Sequence[Fraction]] = None
-               ) -> tuple[list[_PairRow], tuple[Fraction, ...]]:
-    """One row per pair u < v and, given an edge measure nu, each
-    component's expected distortion.  Component by component, one table at a
+@dataclass(frozen=True)
+class DistortionReport:
+    """Per-pair expected stretch of an embedding, with the worst pair."""
+
+    worst_pair: tuple[int, int]
+    worst_stretch: Fraction
+    rows: tuple[_PairRow, ...]
+
+
+def distortion_report(g: StGraph, emb: StochasticTreeEmbedding) -> DistortionReport:
+    """One row per pair u < v, and the first pair in row order whose
+    expected stretch is greatest.  Component by component, one table at a
     time, each pair's expected tree distance accumulates in one integer over
     the common denominator of all the p / L terms.  A map that misses a
     vertex raises InputError first; a contraction raises NotExpansive for
@@ -105,23 +107,27 @@ def _pair_rows(g: StGraph, emb: StochasticTreeEmbedding,
     common = math.lcm(*(p.denominator * tree.weight_scale for tree, _, p in emb))
     # sums[u][v - u - 1] / common is the expected d_T(u, v)
     sums = [[0] * (n - u - 1) for u in range(n)]
-    per_component = []
     for idx, (tree, tmap, p) in enumerate(emb):
-        table = _expansive_table(metric, tree, tmap, f"component {idx}")
-        if nu is not None:
-            per_component.append(_expected_stretch(metric, nu, table))
-        tree_scale, tree_rows = table
+        tree_scale, tree_rows = _expansive_table(metric, tree, tmap, f"component {idx}")
         weight = p.numerator * (common // (p.denominator * tree_scale))
         for u in range(n):
             sums[u] = [acc + weight * t
                        for acc, t in zip(sums[u], tree_rows[u][u + 1:])]
     out: list[_PairRow] = []
+    # The stretch is acc * scale / (common * d), and all pairs share common
+    # and scale, so the worst pair has the greatest acc / d, compared in
+    # integers.  Every stretch is at least 1, so the first pair beats 0 / 1.
+    worst, worst_acc, worst_d = 0, 0, 1
     for u in range(n):
         row, dist = rows[u], metric.dist[u]
         for v, acc in enumerate(sums[u], start=u + 1):
+            d = row[v]
+            if acc * worst_d > worst_acc * d:
+                worst, worst_acc, worst_d = len(out), acc, d
             out.append((u, v, dist[v], Fraction(acc, common),
-                        Fraction(acc * scale, common * row[v])))
-    return out, tuple(per_component)
+                        Fraction(acc * scale, common * d)))
+    u, v, _, _, stretch = out[worst]
+    return DistortionReport(worst_pair=(u, v), worst_stretch=stretch, rows=tuple(out))
 
 
 def stochastic_distortion_of(g: StGraph, emb: StochasticTreeEmbedding) -> Fraction:
@@ -129,30 +135,7 @@ def stochastic_distortion_of(g: StGraph, emb: StochasticTreeEmbedding) -> Fracti
 
     Every component must be expansive; a contracted pair raises NotExpansive.
     """
-    return max((row[4] for row in _pair_rows(g, emb)[0]), default=ZERO)
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    """Per-pair expected stretch of an embedding, with the worst witnesses."""
-
-    expected_distortion: tuple[Fraction, ...]  # per component
-    worst_pair: tuple[int, int]
-    worst_stretch: Fraction
-    rows: tuple[_PairRow, ...]
-
-
-def distortion_report(mg: MeasuredGraph, emb: StochasticTreeEmbedding) -> DistortionReport:
-    """Per-pair rows, the worst pair and per-component expected distortion;
-    a contraction raises NotExpansive, as in stochastic_distortion_of."""
-    rows, per_component = _pair_rows(mg.graph, emb, mg.nu)
-    worst = (ZERO, (0, 0))
-    for u, v, _, _, stretch in rows:
-        if stretch > worst[0]:
-            worst = (stretch, (u, v))
-    return DistortionReport(expected_distortion=per_component,
-                            worst_pair=worst[1], worst_stretch=worst[0],
-                            rows=tuple(rows))
+    return distortion_report(g, emb).worst_stretch
 
 
 def cycle_embedding_witness(cycle_graph: StGraph, tree: GeodesicTree,

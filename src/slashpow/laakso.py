@@ -466,40 +466,24 @@ def _transport_segments(power: SlashPower, pw2: SlashPower,
                         extraction: LaaksoSubgraph, inner_power: SlashPower,
                         segments: Sequence[PathSeq]) -> list[PathSeq]:
     """Map segment paths from a power of the extracted subgraph into the
-    corresponding power of the original base, via flattened edge labels.
+    power of the original base of twice its level, vertex by vertex: a
+    vertex's canonical label, with each edge coordinate replaced by that
+    edge's label in pw2 and the vertex by its label in pw2, is its address
+    in power.
 
-    Expects segments in (stem, arc1, arc2, tail) order: the arcs both start
-    at the stem's end and both finish at the tail's start.
+    Expects segments in (stem, arc1, arc2, tail) order.
     """
+    edge_labels = [pw2.edge_label(pe) for pe in extraction.parent_edges]
+    vertex_labels = [pw2.vertex_label(pv) for pv in extraction.parent_vertices]
+
+    def vertex(x: int) -> int:
+        label = inner_power.vertex_label(x)
+        *flat, v = itertools.chain(*(edge_labels[e] for e in label[:-1]),
+                                   vertex_labels[label[-1]])
+        return power.resolve_vertex(len(flat) + 1, power.edge_index(flat), v) if flat else v
+
+    mapped = [tuple(map(vertex, seg)) for seg in segments]
     final_g = power.graph.graph
-    inner_g = inner_power.graph.graph
-
-    def walk(seg: PathSeq, start: int) -> PathSeq:
-        mapped = [start]
-        cursor = start
-        for a, b in zip(seg, seg[1:]):
-            inner_ei = inner_g.edge_index(a, b)
-            label = inner_power.edge_label(inner_ei)
-            flat: list[int] = []
-            for sub_edge in label:
-                flat.extend(pw2.edge_label(extraction.parent_edges[sub_edge]))
-            final_ei = power.edge_index(flat)
-            x, y = final_g.edges[final_ei]
-            if x == cursor:
-                cursor = y
-            elif y == cursor:
-                cursor = x
-            else:
-                raise AssertionError("transported edge does not chain")
-            mapped.append(cursor)
-        return tuple(mapped)
-
-    stem = walk(segments[0], final_g.s)
-    arc1 = walk(segments[1], stem[-1])
-    arc2 = walk(segments[2], stem[-1])
-    if arc2[-1] != arc1[-1]:
-        raise AssertionError("transported arcs do not meet")
-    tail = walk(segments[3], arc1[-1])
-    if tail[-1] != final_g.t:
-        raise AssertionError("transported tail misses t")
-    return [stem, arc1, arc2, tail]
+    if mapped[0][0] != final_g.s or mapped[3][-1] != final_g.t:
+        raise AssertionError("transported segments do not run from s to t")
+    return mapped

@@ -81,22 +81,20 @@ def _scaled_rows(scales: Sequence[Fraction], values: Sequence[Fraction]
     return rows
 
 
-def _substitute(h: StGraph, replaced: Sequence[int], g: StGraph,
+def _substitute(h: StGraph, g: StGraph,
                 interior_name: Callable[[int, int], str]) -> StGraph:
-    """Replace each listed edge of h by a copy of the s-t graph g, with s and
-    t at the edge's tail and head and weights scaled by the edge's weight.
+    """Replace every edge of h by a copy of the s-t graph g, with s and t at
+    the edge's tail and head and weights scaled by the edge's weight.
 
-    Kept edges come first, then each copy's edges in g's order.  The copies'
-    interior vertices follow h's vertices, in g's order, one copy after the
-    other; interior vertex v of the copy of edge ei is named
+    The copies' edges follow one another in h's edge order, each in g's
+    order; their interior vertices follow h's vertices, in g's order, one
+    copy after the other; interior vertex v of the copy of edge ei is named
     interior_name(ei, v)."""
     names = list(h.names)
-    gone = set(replaced)
-    edges = [e for i, e in enumerate(h.edges) if i not in gone]
-    weights = [w for i, w in enumerate(h.weights) if i not in gone]
+    edges: list[tuple[int, int]] = []
+    weights: list[Fraction] = []
     interiors = _interiors(g)
-    rows = _scaled_rows([h.weights[ei] for ei in replaced], g.weights)
-    for ei, row in zip(replaced, rows):
+    for ei, row in enumerate(_scaled_rows(h.weights, g.weights)):
         table = [0] * g.vertex_count
         table[g.s], table[g.t] = h.edges[ei]
         for v in interiors:
@@ -110,10 +108,11 @@ def _substitute(h: StGraph, replaced: Sequence[int], g: StGraph,
 
 def _raw_product(h: MeasuredGraph, g: MeasuredGraph,
                  interior_name: Callable[[int, int], str]) -> MeasuredGraph:
-    """Product without input validation."""
-    graph = _substitute(h.graph, range(h.graph.edge_count), g.graph, interior_name)
+    """Product without input validation.  The measure vanishes wherever a
+    factor's does, so a restricted factor makes the product restricted."""
+    graph = _substitute(h.graph, g.graph, interior_name)
     nu = tuple(itertools.chain.from_iterable(_scaled_rows(h.nu, g.nu)))
-    return MeasuredGraph(graph=graph, nu=nu)
+    return MeasuredGraph(graph=graph, nu=nu, restricted=h.restricted or g.restricted)
 
 
 def _require_normalized(mg: MeasuredGraph, role: str) -> None:

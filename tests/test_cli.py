@@ -69,6 +69,19 @@ def test_power_roundtrip(tmp_path, diamond_file):
     assert sum(back.nu) == 1
 
 
+def test_power_of_a_restricted_base_is_restricted(tmp_path, diamond_file):
+    # The product measure vanishes wherever a factor's does, and still sums
+    # to 1, so its zeros are legal.
+    doc = json.loads(diamond_file.read_text())
+    doc["measure"], doc["restricted"] = ["1/2", "1/2", "0", "0"], True
+    base, out = tmp_path / "r.json", tmp_path / "r2.json"
+    base.write_text(json.dumps(doc))
+    assert main(["power", "--base", str(base), "--n", "2", "--out", str(out)]) == EXIT_OK
+    power = json.loads(out.read_text())
+    assert power["restricted"] is True and power["measure"].count("0/1") == 12
+    assert main(["power", "--base", str(out), "--n", "1"]) == EXIT_OK
+
+
 def test_power_cap_exit(tmp_path, diamond_file, monkeypatch):
     monkeypatch.setenv("SLASHPOW_MAX_EDGES", "10")
     assert main(["power", "--base", str(diamond_file), "--n", "2"]) == EXIT_CAP
@@ -184,6 +197,24 @@ def test_pipeline_command(capsys, diamond_file):
     assert main(["pipeline", "--graph", str(diamond_file)]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["n"] == 1 and doc["c0"] == "2/1"
+
+
+def test_pipeline_ignores_a_restricted_input_measure(tmp_path):
+    # The pipeline never reads its input's measure: a restricted one gives
+    # the same result file as the uniform one.
+    plain, restricted = tmp_path / "l.json", tmp_path / "r.json"
+    assert main(["build", "--laakso", "0,2,4,0", "--uniform-weights",
+                 "--out", str(plain)]) == EXIT_OK
+    doc = json.loads(plain.read_text())
+    doc["measure"] = ["1/2", "1/2"] + ["0"] * 4
+    doc["restricted"] = True
+    restricted.write_text(json.dumps(doc))
+    results = []
+    for graph in (plain, restricted):
+        out = tmp_path / f"result-{graph.stem}.json"
+        assert main(["pipeline", "--graph", str(graph), "--out", str(out)]) == EXIT_OK
+        results.append(out.read_bytes())
+    assert results[0] == results[1]
 
 
 def test_oracle_command(capsys, diamond_file):

@@ -88,14 +88,20 @@ def test_stochastic_distortion_identity():
     assert stochastic_distortion_of(mg.graph, emb) == 1
 
 
-def test_stochastic_distortion_two_tree_mixture():
-    # Two expansive trees on the diamond, each a path stretching a different
-    # edge; the per-pair averages are checked against a hand evaluation.
+def mirrored_mixture() -> StochasticTreeEmbedding:
+    """Uniform mixture of diamond_path_tree and its mirror image, which
+    swaps y1_1 and y2_1."""
     t1, m1 = diamond_path_tree()                       # stretches {x0, y2_1}
     t2 = path_tree(("x0", "y2_1", "z0", "y1_1"), (F(1, 2),) * 3)
     m2 = TreeMap(vertex_map=(0, 3, 1, 2))              # stretches {x0, y1_1}
+    return StochasticTreeEmbedding(((t1, m1, F(1, 2)), (t2, m2, F(1, 2))))
+
+
+def test_stochastic_distortion_two_tree_mixture():
+    # Two expansive trees on the diamond, each a path stretching a different
+    # edge; the per-pair averages are checked against a hand evaluation.
     g = diamond().graph
-    emb = StochasticTreeEmbedding(((t1, m1, F(1, 2)), (t2, m2, F(1, 2))))
+    emb = mirrored_mixture()
 
     metric = geodesic_metric(g)
     # Hand evaluation: pairs (u, v) with mean tree distance.
@@ -106,6 +112,16 @@ def test_stochastic_distortion_two_tree_mixture():
              (1, 2): F(1), (1, 3): F(1, 2), (2, 3): F(1, 2)}
     worst = max(means[p] / metric.d(*p) for p in means)
     assert stochastic_distortion_of(g, emb) == worst == F(2)
+
+
+def test_worst_pair_is_the_first_of_tied_pairs():
+    # The mirror image swaps y1_1 and y2_1, so pairs (x0, y1_1) and
+    # (x0, y2_1) share the greatest stretch, 2; the first in row order wins.
+    g = diamond().graph
+    rep = distortion_report(g, mirrored_mixture())
+    tied = [(u, v) for u, v, *_, stretch in rep.rows if stretch == 2]
+    assert tied == [(0, 1), (0, 2)]
+    assert rep.worst_pair == (0, 1) and rep.worst_stretch == 2
 
 
 def test_stochastic_distortion_rejects_contraction():
@@ -128,7 +144,7 @@ def test_distortion_report_rejects_contraction_like_stochastic_distortion():
                                    (t1.scaled(F(1, 64)), m1, F(1, 3))))
     messages = []
     for run in (lambda: stochastic_distortion_of(mg.graph, emb),
-                lambda: distortion_report(mg, emb)):
+                lambda: distortion_report(mg.graph, emb)):
         with pytest.raises(NotExpansive) as err:
             run()
         messages.append(str(err.value))
@@ -299,7 +315,7 @@ def test_lower_bound_report():
 def test_distortion_report_rows():
     mg = diamond()
     emb = frt_embed(geodesic_metric(mg.graph), seed=3, samples=4)
-    rep = distortion_report(mg, emb)
+    rep = distortion_report(mg.graph, emb)
     assert len(rep.rows) == 6
     assert rep.worst_stretch >= 1
     assert all(stretch >= 1 for *_, stretch in rep.rows)

@@ -12,7 +12,12 @@ import slashpow as sp
 from slashpow import serialization as ser
 from slashpow.constructions import build_cycle, build_laakso, build_path
 from slashpow.core import geodesic_metric, is_normalized_geodesic_st
-from slashpow.embeddings import frt_tree
+from slashpow.embeddings import (
+    distortion_report,
+    frt_embed,
+    frt_tree,
+    stochastic_distortion_of,
+)
 
 positive = st.builds(F, st.integers(1, 9), st.integers(1, 9))
 
@@ -118,3 +123,15 @@ def test_frt_trees_strictly_dominate(mg, seed):
         for v in range(u + 1, n):
             d_t, d = tree_rows[u][v] * metric.scale, metric.rows[u][v] * tree_scale
             assert d_t > d or (n == 2 and d_t == d), (u, v)
+
+
+@given(measured_graphs, st.integers(0, 2 ** 32), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_stochastic_distortion_is_the_reports_first_worst_row(mg, seed, samples):
+    g = mg.graph
+    emb = frt_embed(g.metric, seed=seed, samples=samples)
+    report = distortion_report(g, emb)
+    worst = max(stretch for *_, stretch in report.rows)
+    assert stochastic_distortion_of(g, emb) == report.worst_stretch == worst
+    first = next(row for row in report.rows if row[4] == worst)
+    assert report.worst_pair == first[:2]

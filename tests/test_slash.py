@@ -70,6 +70,18 @@ def test_diamond_squared_counts():
     assert is_normalized_geodesic_st(prod.graph)
 
 
+def test_restricted_factor_makes_the_product_restricted():
+    mg = diamond()
+    r = MeasuredGraph(graph=mg.graph, nu=(F(1, 2), F(1, 2), F(0), F(0)),
+                      restricted=True)
+    for prod, zero in ((slash_product(r, mg), lambda he, ge: he >= 2),
+                       (slash_product(mg, r), lambda he, ge: ge >= 2)):
+        assert prod.restricted and sum(prod.nu) == 1
+        for idx, p in enumerate(prod.nu):
+            assert (p == 0) == zero(*divmod(idx, 4))
+    assert not slash_product(mg, mg).restricted
+
+
 def test_product_requires_normalized():
     skew = build_path([F(1), F(2)])
     with pytest.raises(NotNormalized):
