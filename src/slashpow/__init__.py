@@ -22,13 +22,11 @@ from .core import (
     GeodesicMetric,
     StGraph,
     ValidationReport,
-    brute_force_distance,
     enumerate_cycles,
     enumerate_st_paths,
     geodesic_metric,
     is_normalized_geodesic_st,
     is_strictly_geodesic_st,
-    normalize,
     path_length,
     undirected_st_path_length_range,
     validate_st_graph,
@@ -36,6 +34,7 @@ from .core import (
 from .laakso import (
     BalancedLaaksoWitness,
     LaaksoBase,
+    MaxCycles,
     PipelineResult,
     balanced_laakso_pipeline,
     balancing_power,
@@ -49,11 +48,9 @@ from .laakso import (
 from .slash import (
     LazyPowerMetric,
     SlashPower,
-    associativity_isomorphism_check,
     lift_cycle,
     lift_path,
     slash_power,
-    slash_product,
 )
 
 __version__ = "0.1.0"

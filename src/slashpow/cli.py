@@ -109,6 +109,12 @@ def _load_graph(path: str) -> StGraph | MeasuredGraph:
     return ser.loads(text)
 
 
+def _load_st_graph(path: str) -> StGraph:
+    """The graph of a graph file, with or without a "measure" entry."""
+    obj = _load_graph(path)
+    return obj.graph if isinstance(obj, MeasuredGraph) else obj
+
+
 def _need_measured(obj: StGraph | MeasuredGraph) -> MeasuredGraph:
     if isinstance(obj, MeasuredGraph):
         return obj
@@ -211,9 +217,9 @@ def _check_report_digits(report: DistortionReport) -> None:
 
 
 def _cmd_embed_frt(args: argparse.Namespace) -> int:
-    mg = _need_measured(_load_graph(args.graph))
-    emb = frt_embed(mg.graph.metric, seed=args.seed, samples=args.samples)
-    report = distortion_report(mg.graph, emb)
+    g = _load_st_graph(args.graph)
+    emb = frt_embed(g.metric, seed=args.seed, samples=args.samples)
+    report = distortion_report(g, emb)
     value = report.worst_stretch
     if args.report:
         _check_report_digits(report)
@@ -222,7 +228,7 @@ def _cmd_embed_frt(args: argparse.Namespace) -> int:
             writer.writerow(["pair", "d_X", "E_dT", "stretch", "stretch_decimal"])
             for u, v, dx, mean, stretch in report.rows:
                 writer.writerow([
-                    f"{mg.graph.names[u]}|{mg.graph.names[v]}",
+                    f"{g.names[u]}|{g.names[v]}",
                     ser.fraction_str(dx), ser.fraction_str(mean),
                     ser.fraction_str(stretch), f"{float(stretch):.6f}",
                 ])
@@ -231,8 +237,8 @@ def _cmd_embed_frt(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "stochastic_distortion": ser.fraction_str(value),
         "stochastic_distortion_decimal": f"{float(value):.6f}",
-        "worst_pair": [mg.graph.names[report.worst_pair[0]],
-                       mg.graph.names[report.worst_pair[1]]],
+        "worst_pair": [g.names[report.worst_pair[0]],
+                       g.names[report.worst_pair[1]]],
     }
     print(json.dumps(summary, indent=2) if args.json
           else f"stochastic distortion {ser.fraction_str(value)} "
@@ -274,9 +280,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    obj = _load_graph(args.graph)
-    g = obj.graph if isinstance(obj, MeasuredGraph) else obj
-    _write(args.out, ser.dot_pieces(g))
+    _write(args.out, ser.dot_pieces(_load_st_graph(args.graph)))
     return EXIT_OK
 
 

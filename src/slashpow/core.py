@@ -502,29 +502,6 @@ def is_strictly_geodesic_st(g: StGraph) -> bool:
     return lo == hi
 
 
-def normalize(g: StGraph) -> StGraph:
-    """Divide all weights by the common s-t path length.
-
-    Raises NotGeodesicStGraph when s-t paths disagree in length.
-    """
-    lo, hi = st_path_length_range(g)
-    if lo != hi:
-        raise NotGeodesicStGraph(f"s-t path lengths range from {lo} to {hi}")
-    if lo == _ONE:
-        return g
-    return g.with_weights(tuple(w / lo for w in g.weights))
-
-
-def brute_force_distance(g: StGraph, u: int, v: int) -> Fraction:
-    """Minimum over all simple u-v paths, by exhaustive search on the
-    Fraction weights (test oracle, independent of Dijkstra)."""
-    best = min((path_length(g, p) for p in _simple_paths(g.und_adj, u, stop=v)
-                if p[-1] == v), default=None)
-    if best is None:
-        raise DisconnectedGraph(f"no path from {u} to {v}")
-    return best
-
-
 def enumerate_cycles(g: StGraph) -> tuple[CycleSeq, ...]:
     """All simple cycles, canonicalized: smallest vertex first, smaller
     neighbor second.  Deterministic order; capped by path_cap()."""

@@ -10,9 +10,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..constructions import MeasuredGraph
-from ..core import GeodesicMetric, StGraph, cycle_edge_indices
+from ..core import GeodesicMetric, StGraph
 from ..errors import EdgeSizeViolation, InputError, NotExpansive, WitnessNotFound
-from ..laakso import LaaksoBase, enumerate_max_cycles
+from ..laakso import LaaksoBase, MaxCycles, enumerate_max_cycles
 from ..slash import SlashPower
 from .oracle import OracleResult, oracle_min_expected_distortion
 from .trees import GeodesicTree, StochasticTreeEmbedding, TreeMap
@@ -207,16 +207,20 @@ class TruncatedBoundResult:
 
 def truncated_distortion_bound(power: SlashPower, tree: GeodesicTree,
                                tmap: TreeMap,
-                               cycles: Optional[Sequence] = None
+                               cycles: Optional[MaxCycles] = None
                                ) -> TruncatedBoundResult:
     """Assert the (3/128) c0 n lower bound and, per maximal cycle, find an
     edge stretched to at least (c0 - d(e))/8 >= (3/32) c0; a cycle without
-    one raises WitnessNotFound."""
+    one raises WitnessNotFound.  `cycles`, when given, must be
+    enumerate_max_cycles(power) of this same power, or InputError is raised:
+    its edge indices are read without looking them up again."""
     base, denominator, edge_dt, value = _truncated(power, tree, tmap)
     c0 = base.c0
     bound = LOWER_COEFF * c0 * power.n
     if cycles is None:
         cycles = enumerate_max_cycles(power)
+    elif not isinstance(cycles, MaxCycles) or cycles.power is not power:
+        raise InputError("cycles must be the enumerate_max_cycles result of this power")
     g = power.graph.graph
     # Stretched: 8 d_T >= c0 - w and d_T >= (3/32) c0.  Over D, in integers,
     # D d_T is at least the ceiling of each right-hand side times D.
@@ -227,8 +231,8 @@ def truncated_distortion_bound(power: SlashPower, tree: GeodesicTree,
             lows[id(w)] = max(least, math.ceil((c0 - w) * denominator / 8))
     stretched = [dt >= lows[id(w)] for dt, w in zip(edge_dt, g.weights)]
     witnesses: list[int] = []
-    for c in cycles:
-        for ei in cycle_edge_indices(g, c):
+    for edges in cycles.edges:
+        for ei in edges:
             if stretched[ei]:
                 witnesses.append(ei)
                 break

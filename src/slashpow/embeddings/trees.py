@@ -4,7 +4,7 @@ Every tree distance is read from the integer table scaled_distances builds."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -121,12 +121,6 @@ class GeodesicTree:
         cols = [column[y] for y in points]
         return self.weight_scale, [[row[c] for c in cols]
                                    for row in (rows[x] for x in points)]
-
-    def scaled(self, factor: Fraction) -> "GeodesicTree":
-        if factor <= 0:
-            raise InputError("scale factor must be positive")
-        return replace(self, weights=tuple(w * factor for w in self.weights))
-
 
 @dataclass(frozen=True)
 class TreeMap:

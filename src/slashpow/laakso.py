@@ -41,6 +41,7 @@ from .core import (
 from .errors import (
     CapExceeded,
     InputError,
+    InvalidPath,
     NoCycle,
     NotLaakso,
     NotNormalized,
@@ -50,6 +51,7 @@ from .slash import (
     EdgeLabel,
     LazyPowerMetric,
     SlashPower,
+    _require_base_st_path,
     lift_cycle,
     lift_path,
     slash_power,
@@ -161,14 +163,37 @@ def count_max_cycles_through_edge(base: LaaksoBase, label: EdgeLabel) -> int:
         for j in range(2, len(label) + 1))
 
 
-def enumerate_max_cycles(power: SlashPower) -> tuple[CycleSeq, ...]:
+class MaxCycles(tuple):
+    """The maximal cycles of one power, a tuple of vertex sequences, with
+    `edges`, each cycle's edge indices in cycle_edge_indices order, and
+    `power`, the power they were enumerated in."""
+
+    edges: tuple[tuple[int, ...], ...]
+    power: SlashPower
+
+    def __new__(cls, cycles: Iterable[CycleSeq], edges: Iterable[tuple[int, ...]],
+                power: SlashPower) -> "MaxCycles":
+        self = super().__new__(cls, cycles)
+        self.edges, self.power = tuple(edges), power
+        return self
+
+
+def _joins(options: Sequence[Sequence[tuple[int, ...]]]) -> Iterable[tuple[int, ...]]:
+    """One option per step, joined, for every choice in product order."""
+    return map(tuple, map(itertools.chain.from_iterable, itertools.product(*options)))
+
+
+def enumerate_max_cycles(power: SlashPower) -> MaxCycles:
     """All maximal-length cycles of a balanced Laakso power, as vertex
-    sequences of the materialized graph; refused when there are more than
-    path_cap() of them.
+    sequences of the materialized graph with their edge indices; refused
+    when there are more than path_cap() of them.
 
     Cycles at each level arise from the previous level by routing every
-    cycle edge through one of the two s-t routes of the base; enumeration
-    walks choice vectors in deterministic order.
+    cycle edge through one of the two s-t routes of the base, walked from t
+    to s where the cycle runs against the edge's orientation; the choice
+    vectors run in itertools.product order, the last step's fastest.  Each
+    step's two routings are built once per cycle and joined in bulk, and
+    every returned cycle is checked against the power's graph.
     """
     base = LaaksoBase.from_measured(power.base)
     expected = count_max_cycles(base.structure.params, power.n)
@@ -176,15 +201,33 @@ def enumerate_max_cycles(power: SlashPower) -> tuple[CycleSeq, ...]:
     if expected > cap:
         raise CapExceeded(f"{expected} cycles exceed cap {cap}")
     routes = (base.structure.route1(), base.structure.route2())
+    for route in routes:
+        _require_base_st_path(base.graph, route)
+    ways = [(route, route[::-1]) for route in routes]
+    layout = power._layout
     cycles: list[CycleSeq] = [base.structure.cycle]
+    edges: list[tuple[int, ...]] = [cycle_edge_indices(base.graph, cycles[0])]
     for level in range(1, power.n):
+        prev = power.level_graph(level).graph
         lifted: list[CycleSeq] = []
-        for c in cycles:
-            for choice in itertools.product(routes, repeat=len(c)):
-                lifted.append(lift_cycle(power, level, c, choice))
-        cycles = lifted
+        lifted_edges: list[tuple[int, ...]] = []
+        for c, es in zip(cycles, edges):
+            steps = [[layout.copy_walk(prev, ei, way[prev.edges[ei][0] != a])
+                      for way in ways] for a, ei in zip(c, es)]
+            lifted.extend(_joins([[v for v, _ in step] for step in steps]))
+            lifted_edges.extend(_joins([[e for _, e in step] for step in steps]))
+        cycles, edges = lifted, lifted_edges
+    ids = power.graph.graph.edge_ids
+    for c, es in zip(cycles, edges):
+        if len(set(c)) != len(c):
+            raise InvalidPath("lifted cycle revisits a vertex")
+        # Compared as lists: a tuple built from map() and dropped at once
+        # would stay on the interpreter's tuple free list (0.35 MB on
+        # diamond^3).
+        if list(map(ids.get, zip(c, c[1:] + c[:1]))) != list(es):
+            raise InvalidPath("lifted cycle leaves the graph")
     assert len(cycles) == expected
-    return tuple(cycles)
+    return MaxCycles(cycles, edges, power)
 
 
 def selector_identity_sum(power: SlashPower,

@@ -120,18 +120,6 @@ def _require_normalized(mg: MeasuredGraph, role: str) -> None:
         raise NotNormalized(f"{role} graph is not a normalized geodesic s-t graph")
 
 
-def slash_product(h: MeasuredGraph, g: MeasuredGraph) -> MeasuredGraph:
-    """Measured slash product of two normalized geodesic s-t graphs, refused
-    when it would have more than edge_cap() edges."""
-    cap = edge_cap()
-    if h.graph.edge_count * g.graph.edge_count > cap:
-        raise CapExceeded(
-            f"product would have {h.graph.edge_count * g.graph.edge_count} edges, cap {cap}")
-    _require_normalized(h, "left")
-    _require_normalized(g, "right")
-    return _raw_product(h, g, lambda ei, v: f"{ei}:{g.graph.names[v]}")
-
-
 class _Layout:
     """Addresses in the powers of one base graph, as _substitute lays them
     out: edge i of level k is edge i % e of the copy that replaced edge
@@ -162,6 +150,15 @@ class _Layout:
         if v in (self.base.s, self.base.t):
             return prev.edges[prev_edge][0 if v == self.base.s else 1]
         return prev.vertex_count + prev_edge * len(self.interiors) + self.interiors.index(v)
+
+    def copy_walk(self, prev: StGraph, prev_edge: int, walk: Sequence[int]
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A walk of the base graph inside the copy of edge prev_edge of the
+        level graph prev: its vertices but the last, and its edges, numbered
+        in the next level."""
+        first = prev_edge * self.e
+        return (tuple(self.copy_vertex(prev, prev_edge, v) for v in walk[:-1]),
+                tuple(first + self.base.edge_index(a, b) for a, b in zip(walk, walk[1:])))
 
     def copy_address(self, prev: StGraph, vid: int) -> tuple[int, int]:
         """(prev_edge, base vertex) of a vertex vid new after the level graph prev."""
@@ -328,49 +325,6 @@ def lift_cycle(power: SlashPower, level: int, cycle: Sequence[int],
     """Lift a cycle (closed walk of distinct vertices) one level up, one
     base s-t path per cycle edge."""
     return _lift(power, level, cycle, choices, closed=True)
-
-
-def associativity_isomorphism_check(mg: MeasuredGraph) -> bool:
-    """Exact check that (G/G)/G and G/(G/G) agree.
-
-    Matches edges by their base-edge triples, derives the vertex bijection
-    from edge endpoints, and then asserts it is a graph isomorphism, a metric
-    isometry, and measure preserving.  Refused when the cube would have more
-    than edge_cap() edges.
-    """
-    cap = edge_cap()
-    e = mg.graph.edge_count
-    if e ** 3 > cap:
-        raise CapExceeded(f"cube would have {e ** 3} edges, cap {cap}")
-    _require_normalized(mg, "base")
-
-    inner = _raw_product(mg, mg, lambda ei, v: f"{ei}:{mg.graph.names[v]}")
-    left = _raw_product(inner, mg, lambda ei, v: f"L{ei}:{mg.graph.names[v]}")
-    right = _raw_product(mg, inner, lambda ei, v: f"R{ei}:{inner.graph.names[v]}")
-
-    # By _Layout, edge i of either side substitutes the base edges given by
-    # the three base-e digits of i.
-    phi: dict[int, int] = {}
-    for i in range(left.graph.edge_count):
-        if left.graph.weights[i] != right.graph.weights[i]:
-            return False
-        if left.nu[i] != right.nu[i]:
-            return False
-        for a, b in zip(left.graph.edges[i], right.graph.edges[i]):
-            if phi.setdefault(a, b) != b:
-                return False
-    if len(phi) != left.graph.vertex_count:
-        return False
-    if len(set(phi.values())) != right.graph.vertex_count:
-        return False
-
-    dl = left.graph.metric
-    dr = right.graph.metric
-    for x in range(left.graph.vertex_count):
-        for y in range(x + 1, left.graph.vertex_count):
-            if dl.d(x, y) != dr.d(phi[x], phi[y]):
-                return False
-    return True
 
 
 class LazyPowerMetric:

@@ -1,5 +1,8 @@
-"""Shared fixture graphs and independent little oracles for the tests."""
+"""Shared fixture graphs and independent little oracles for the tests, and
+the library functions that only tests call."""
 
+import dataclasses
+import itertools
 import json
 from fractions import Fraction
 from fractions import Fraction as F
@@ -12,12 +15,28 @@ from slashpow.constructions import (
     cycle_st_graph,
     uniform_laakso,
 )
-from slashpow.core import StGraph, cycle_edge_indices, single_source_distances
+from slashpow.core import (
+    CycleSeq,
+    StGraph,
+    _simple_paths,
+    cycle_edge_indices,
+    edge_cap,
+    path_length,
+    single_source_distances,
+    st_path_length_range,
+)
 from slashpow.embeddings import GeodesicTree, TreeMap, TruncatedBoundResult, distortion
-from slashpow.errors import InputError, SchemaError, WitnessNotFound
+from slashpow.errors import (
+    CapExceeded,
+    DisconnectedGraph,
+    InputError,
+    NotGeodesicStGraph,
+    SchemaError,
+    WitnessNotFound,
+)
 from slashpow.laakso import LaaksoBase, enumerate_max_cycles
 from slashpow.serialization import parse_fraction
-from slashpow.slash import SlashPower
+from slashpow.slash import SlashPower, _raw_product, _require_normalized, lift_cycle
 from slashpow.verify import unit_cycle_measured  # noqa: F401  (shared fixture)
 
 
@@ -36,6 +55,17 @@ def laakso0230() -> MeasuredGraph:
 def weighted0230() -> MeasuredGraph:
     return build_laakso((0, 2, 3, 0), (), (F(1, 3), F(2, 3)),
                         (F(1, 4), F(1, 4), F(1, 2)), ())
+
+
+def weighted1220() -> MeasuredGraph:
+    return build_laakso((1, 2, 2, 0), [F(1, 4)], [F(1, 2), F(1, 4)],
+                        [F(1, 3), F(5, 12)], [])
+
+
+def weighted1331() -> MeasuredGraph:
+    """Weights 1/6 and 1/3: its square has six distinct (nu, weight) pairs."""
+    return build_laakso((1, 3, 3, 1), [F(1, 6)], [F(1, 6), F(1, 6), F(1, 3)],
+                        [F(1, 3), F(1, 6), F(1, 6)], [F(1, 6)])
 
 
 def unit_cycle(n: int) -> StGraph:
@@ -175,6 +205,18 @@ def reference_spot_check_isometry(big: StGraph, sub: LaaksoSubgraph) -> None:
                     f"subgraph is not isometric at pair ({u}, {v})")
 
 
+def reference_max_cycles(power: SlashPower) -> tuple[CycleSeq, ...]:
+    """Slow reference for laakso.enumerate_max_cycles: every cycle lifted one
+    choice vector at a time with lift_cycle, in itertools.product order."""
+    base = LaaksoBase.from_measured(power.base)
+    routes = (base.structure.route1(), base.structure.route2())
+    cycles: list[CycleSeq] = [base.structure.cycle]
+    for level in range(1, power.n):
+        cycles = [lift_cycle(power, level, c, choice) for c in cycles
+                  for choice in itertools.product(routes, repeat=len(c))]
+    return tuple(cycles)
+
+
 def reference_truncated_bound(power: SlashPower, tree: GeodesicTree,
                               tmap: TreeMap, cycles=None) -> TruncatedBoundResult:
     """Slow reference for distortion.truncated_distortion_bound: the same
@@ -205,6 +247,93 @@ def reference_truncated_bound(power: SlashPower, tree: GeodesicTree,
         witnesses.append(found)
     return TruncatedBoundResult(value=value, bound=bound, holds=value >= bound,
                                 cycle_witnesses=tuple(witnesses))
+
+
+# --- library functions that only tests call -----------------------------------
+
+def normalize(g: StGraph) -> StGraph:
+    """Divide all weights by the common s-t path length.
+
+    Raises NotGeodesicStGraph when s-t paths disagree in length.
+    """
+    lo, hi = st_path_length_range(g)
+    if lo != hi:
+        raise NotGeodesicStGraph(f"s-t path lengths range from {lo} to {hi}")
+    if lo == 1:
+        return g
+    return g.with_weights(tuple(w / lo for w in g.weights))
+
+
+def brute_force_distance(g: StGraph, u: int, v: int) -> Fraction:
+    """Minimum over all simple u-v paths, by exhaustive search on the
+    Fraction weights (test oracle, independent of Dijkstra)."""
+    best = min((path_length(g, p) for p in _simple_paths(g.und_adj, u, stop=v)
+                if p[-1] == v), default=None)
+    if best is None:
+        raise DisconnectedGraph(f"no path from {u} to {v}")
+    return best
+
+
+def scaled_tree(tree: GeodesicTree, factor: Fraction) -> GeodesicTree:
+    """The tree with every weight times a positive factor."""
+    if factor <= 0:
+        raise InputError("scale factor must be positive")
+    return dataclasses.replace(tree, weights=tuple(w * factor for w in tree.weights))
+
+
+def slash_product(h: MeasuredGraph, g: MeasuredGraph) -> MeasuredGraph:
+    """Measured slash product of two normalized geodesic s-t graphs, refused
+    when it would have more than edge_cap() edges."""
+    cap = edge_cap()
+    if h.graph.edge_count * g.graph.edge_count > cap:
+        raise CapExceeded(
+            f"product would have {h.graph.edge_count * g.graph.edge_count} edges, cap {cap}")
+    _require_normalized(h, "left")
+    _require_normalized(g, "right")
+    return _raw_product(h, g, lambda ei, v: f"{ei}:{g.graph.names[v]}")
+
+
+def associativity_isomorphism_check(mg: MeasuredGraph) -> bool:
+    """Exact check that (G/G)/G and G/(G/G) agree.
+
+    Matches edges by their base-edge triples, derives the vertex bijection
+    from edge endpoints, and then asserts it is a graph isomorphism, a metric
+    isometry, and measure preserving.  Refused when the cube would have more
+    than edge_cap() edges.
+    """
+    cap = edge_cap()
+    e = mg.graph.edge_count
+    if e ** 3 > cap:
+        raise CapExceeded(f"cube would have {e ** 3} edges, cap {cap}")
+    _require_normalized(mg, "base")
+
+    inner = _raw_product(mg, mg, lambda ei, v: f"{ei}:{mg.graph.names[v]}")
+    left = _raw_product(inner, mg, lambda ei, v: f"L{ei}:{mg.graph.names[v]}")
+    right = _raw_product(mg, inner, lambda ei, v: f"R{ei}:{inner.graph.names[v]}")
+
+    # By slash._Layout, edge i of either side substitutes the base edges
+    # given by the three base-e digits of i.
+    phi: dict[int, int] = {}
+    for i in range(left.graph.edge_count):
+        if left.graph.weights[i] != right.graph.weights[i]:
+            return False
+        if left.nu[i] != right.nu[i]:
+            return False
+        for a, b in zip(left.graph.edges[i], right.graph.edges[i]):
+            if phi.setdefault(a, b) != b:
+                return False
+    if len(phi) != left.graph.vertex_count:
+        return False
+    if len(set(phi.values())) != right.graph.vertex_count:
+        return False
+
+    dl = left.graph.metric
+    dr = right.graph.metric
+    for x in range(left.graph.vertex_count):
+        for y in range(x + 1, left.graph.vertex_count):
+            if dl.d(x, y) != dr.d(phi[x], phi[y]):
+                return False
+    return True
 
 
 # --- the reference graph reader ----------------------------------------------

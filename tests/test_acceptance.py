@@ -12,7 +12,12 @@ from fractions import Fraction as F
 import pytest
 
 import slashpow as sp
-from helpers import diamond, laakso0230, unit_cycle_measured
+from helpers import (
+    associativity_isomorphism_check,
+    diamond,
+    laakso0230,
+    unit_cycle_measured,
+)
 from slashpow.core import cycle_edge_indices, geodesic_metric, single_source_distances
 from slashpow.embeddings import (
     check_expansive,
@@ -159,7 +164,7 @@ def test_criterion_7_domination_and_chain():
 def test_criterion_8_structural_invariants():
     t0 = time.monotonic()
     d = diamond()
-    assert sp.associativity_isomorphism_check(d)
+    assert associativity_isomorphism_check(d)
     for n in (1, 2, 3):
         pw = slash_power(d, n)
         g = pw.graph.graph

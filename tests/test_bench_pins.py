@@ -14,6 +14,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from slashpow.constructions import LaaksoParams
+from slashpow.laakso import count_max_cycles
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # The span whose hook produces each pinned counter; a pinned `.calls` metric
@@ -30,11 +33,16 @@ COUNTER_SPANS = {
 # one LP per topology must re-pin PINNED and ORACLE_1221_TREES together.
 ORACLE_1221_TREES = 1296
 FRT_SAMPLES = 3
+# PINNED also fixes laakso.cycles_enumerated on the frt and powers workloads,
+# which enumerate the maximal cycles of diamond^3 once each; the probe does
+# the same, so the counter is read from the enumeration's own result.
+DIAMOND_P = LaaksoParams(0, 2, 2, 0)
 
 PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import run, tracer
+import slashpow
 import slashpow.core as core
 import slashpow.embeddings as embeddings
 import slashpow.serialization as serialization
@@ -53,6 +61,10 @@ counters = dict(rec.counters)
 embeddings.lower_bound_c_nu(uniform_laakso((1, 2, 2, 1)))
 embeddings.frt_embed(core.geodesic_metric(diamond().graph), seed=1,
                      samples=int(sys.argv[2]))
+power3 = slash_power(diamond(), 3)
+enumerated = rec.counters.get("laakso.cycles_enumerated", 0)
+slashpow.enumerate_max_cycles(power3)
+enumerated = rec.counters.get("laakso.cycles_enumerated", 0) - enumerated
 print(json.dumps({
     "pinned": sorted({name for _, name in run.PINNED}),
     "missing": report["missing"],
@@ -62,6 +74,7 @@ print(json.dumps({
                     for i, name in enumerate(rec.names)},
     "n": g.vertex_count,
     "text_bytes": len(text.encode()),
+    "cycles_enumerated": enumerated,
 }))
 """
 
@@ -109,3 +122,10 @@ def test_bytes_read_counts_the_text_loads_is_given():
     probe = run_probe()
     assert probe["calls"]["serialization.loads"] == 1
     assert probe["counters"]["serialization.bytes_read"] == probe["text_bytes"]
+
+
+def test_cycles_enumerated_counts_the_maximal_cycles_of_diamond3():
+    # The hook reads len() of enumerate_max_cycles' result.
+    probe = run_probe()
+    assert probe["later_calls"]["laakso.enumerate_max_cycles"] == 1
+    assert probe["cycles_enumerated"] == count_max_cycles(DIAMOND_P, 3) == 4096

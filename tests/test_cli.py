@@ -402,6 +402,19 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys, diamond_file):
     assert main(["oracle", "--graph", str(nomeasure)]) == EXIT_INPUT
     # The same file is fine for commands that ignore the measure.
     assert main(["export-dot", "--graph", str(nomeasure)]) == EXIT_OK
+    assert main(["embed-frt", "--graph", str(nomeasure), "--seed", "1",
+                 "--samples", "2"]) == EXIT_OK
+    # embed-frt prints the same summary with and without a measure.
+    doc = json.loads(diamond_file.read_text())
+    del doc["measure"]
+    nomeasure.write_text(json.dumps(doc))
+    capsys.readouterr()
+    summaries = []
+    for graph in (diamond_file, nomeasure):
+        assert main(["embed-frt", "--graph", str(graph), "--seed", "3",
+                     "--samples", "4", "--json"]) == EXIT_OK
+        summaries.append(capsys.readouterr().out)
+    assert summaries[0] == summaries[1]
 
 
 def test_schema_flags_and_booleans_exit_3(tmp_path, diamond_file):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slashpow as sp
-from helpers import all_pairs, diamond, laakso1221, three_branch, unit_cycle
+from helpers import all_pairs, diamond, laakso1221, normalize, three_branch, unit_cycle
 from slashpow.constructions import (
     LaaksoParams,
     LaaksoStructure,
@@ -26,7 +26,6 @@ from slashpow.core import (
     enumerate_cycles,
     geodesic_metric,
     is_normalized_geodesic_st,
-    normalize,
     validate_st_graph,
 )
 from slashpow.errors import InputError, NoBalancedSplit, NotLaakso

@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_pairs, diamond, laakso1221, theta, unit_cycle
+from helpers import (
+    all_pairs,
+    brute_force_distance,
+    diamond,
+    laakso1221,
+    normalize,
+    theta,
+    unit_cycle,
+)
 from slashpow.constructions import build_path, uniform_laakso
 from slashpow.core import (
     StGraph,
-    brute_force_distance,
     concat_paths,
     enumerate_cycles,
     enumerate_st_paths,
     geodesic_metric,
     is_normalized_geodesic_st,
-    normalize,
     path_length,
     st_path_length_range,
     undirected_st_path_length_range,

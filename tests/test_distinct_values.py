@@ -9,9 +9,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import diamond
+from helpers import diamond, weighted1220
 from slashpow import serialization as ser
-from slashpow.constructions import MeasuredGraph, build_laakso
+from slashpow.constructions import MeasuredGraph
 from slashpow.core import StGraph, cycle_edge_indices, enumerate_cycles
 from slashpow.errors import InputError, SchemaError, SelectorError
 from slashpow.laakso import (
@@ -154,11 +154,6 @@ def test_loaded_power_round_trips_and_shares_values():
 
 # --- Cor 4.2 sum -----------------------------------------------------------
 
-def weighted_1220() -> MeasuredGraph:
-    return build_laakso((1, 2, 2, 0), [F(1, 4)], [F(1, 2), F(1, 4)],
-                        [F(1, 3), F(5, 12)], [])
-
-
 def per_cycle_sum(power, selector, cycles) -> F:
     """Cor 4.2 as a sum over cycles, one term per cycle."""
     base = LaaksoBase.from_measured(power.base)
@@ -171,7 +166,7 @@ def per_cycle_sum(power, selector, cycles) -> F:
     return total
 
 
-@pytest.mark.parametrize("mg,n", [(weighted_1220(), 2), (diamond(), 3)])
+@pytest.mark.parametrize("mg,n", [(weighted1220(), 2), (diamond(), 3)])
 def test_selector_sum_matches_the_per_cycle_sum(mg, n):
     power = slash_power(mg, n)
     g = power.graph.graph
@@ -202,7 +197,7 @@ def counting(selector):
 
 
 def test_off_cycle_pick_raises_at_its_cycle():
-    power = slash_power(weighted_1220(), 2)
+    power = slash_power(weighted1220(), 2)
     g = power.graph.graph
     cycles = enumerate_max_cycles(power)
     first_miss = {}
@@ -222,7 +217,7 @@ def test_off_cycle_pick_raises_at_its_cycle():
 
 
 def test_off_branch_pick_raises_at_its_cycle():
-    mg = weighted_1220()
+    mg = weighted1220()
     power = slash_power(mg, 2)
     g = power.graph.graph
     base = LaaksoBase.from_measured(mg)

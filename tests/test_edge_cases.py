@@ -7,13 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 import slashpow as sp
-from helpers import all_pairs, diamond, laakso1221
+from helpers import all_pairs, diamond, laakso1221, slash_product
 from slashpow import serialization as ser
 from slashpow.constructions import MeasuredGraph, build_laakso, laakso_from_cycle
 from slashpow.core import StGraph, cycle_edge_indices, geodesic_metric
 from slashpow.errors import InputError
 from slashpow.laakso import enumerate_max_cycles, selector_identity_sum
-from slashpow.slash import LazyPowerMetric, slash_power, slash_product
+from slashpow.slash import LazyPowerMetric, slash_power
 
 
 def crossed_quad() -> MeasuredGraph:

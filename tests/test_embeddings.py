@@ -10,8 +10,10 @@ from helpers import (
     path_tree,
     random_spanning_tree,
     reference_truncated_bound,
+    scaled_tree,
     search_spanning_tree,
     unit_cycle,
+    weighted1331,
 )
 from slashpow.core import geodesic_metric
 from slashpow.embeddings import (
@@ -141,7 +143,7 @@ def test_distortion_report_rejects_contraction_like_stochastic_distortion():
     # the error names the lower component.
     squash = TreeMap((0, 0, 0) + m0.vertex_map[3:])
     emb = StochasticTreeEmbedding(((t0, m0, F(1, 3)), (t0, squash, F(1, 3)),
-                                   (t1.scaled(F(1, 64)), m1, F(1, 3))))
+                                   (scaled_tree(t1, F(1, 64)), m1, F(1, 3))))
     messages = []
     for run in (lambda: stochastic_distortion_of(mg.graph, emb),
                 lambda: distortion_report(mg.graph, emb)):
@@ -233,12 +235,6 @@ def test_truncated_bound_seeded_trees_both_bases():
                 assert len(out.cycle_witnesses) == len(cycles)
 
 
-def weighted1331():
-    """Weights 1/6 and 1/3: its square has six distinct (nu, weight) pairs."""
-    return sp.build_laakso((1, 3, 3, 1), [F(1, 6)], [F(1, 6), F(1, 6), F(1, 3)],
-                           [F(1, 3), F(1, 6), F(1, 6)], [F(1, 6)])
-
-
 # Bases and powers on which the integer Thm 4.1 check must equal the
 # Fraction reference.
 REFERENCE_POWERS = [(diamond, 1), (diamond, 2), (diamond, 3), (laakso1221, 1),
@@ -287,7 +283,7 @@ def test_truncated_bound_at_the_witness_threshold():
     tree, identity = search_spanning_tree(g), identity_tree_map(g.vertex_count)
     witnesses = []
     for factor in (F(15, 8), F(15, 8) - F(1, 1024)):
-        scaled = tree.scaled(factor)
+        scaled = scaled_tree(tree, factor)
         out = truncated_distortion_bound(power, scaled, identity)
         assert repr(out) == repr(reference_truncated_bound(power, scaled, identity))
         assert out.value == F(3, 2)
@@ -298,10 +294,28 @@ def test_truncated_bound_at_the_witness_threshold():
 def test_truncated_bound_without_a_witness_raises(monkeypatch):
     power = slash_power(diamond(), 2)
     tree, tmap = frt_tree(power.metric, random.Random(0))
+    cycles = enumerate_max_cycles(power)
     monkeypatch.setattr(distortion, "WITNESS_COEFF", F(100))
     for check in (truncated_distortion_bound, reference_truncated_bound):
-        with pytest.raises(WitnessNotFound, match="without a stretched edge"):
-            check(power, tree, tmap)
+        for given in (None, cycles):
+            with pytest.raises(WitnessNotFound, match="without a stretched edge"):
+                check(power, tree, tmap, given)
+
+
+def test_truncated_bound_takes_only_the_cycles_of_its_own_power():
+    # The witness pass reads the edge indices enumerate_max_cycles found for
+    # this power: plain vertex tuples, or the cycles of an equal power built
+    # again or of another power, are refused.
+    power = slash_power(diamond(), 2)
+    tree, tmap = frt_tree(power.metric, random.Random(0))
+    cycles = enumerate_max_cycles(power)
+    for other in (tuple(cycles), list(cycles),
+                  enumerate_max_cycles(slash_power(diamond(), 2)),
+                  enumerate_max_cycles(slash_power(diamond(), 1))):
+        with pytest.raises(InputError, match="enumerate_max_cycles"):
+            truncated_distortion_bound(power, tree, tmap, cycles=other)
+    want = truncated_distortion_bound(power, tree, tmap)
+    assert truncated_distortion_bound(power, tree, tmap, cycles=cycles) == want
 
 
 def test_lower_bound_report():

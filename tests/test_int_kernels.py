@@ -10,11 +10,16 @@ from fractions import Fraction as F
 import pytest
 
 import slashpow as sp
-from helpers import all_pairs, diamond, unit_cycle_measured
+from helpers import (
+    all_pairs,
+    brute_force_distance,
+    diamond,
+    scaled_tree,
+    unit_cycle_measured,
+)
 from slashpow.constructions import MeasuredGraph
 from slashpow.core import (
     StGraph,
-    brute_force_distance,
     cycle_edge_indices,
     enumerate_cycles,
     geodesic_metric,
@@ -179,7 +184,7 @@ def test_equal_tree_distance_is_not_a_contraction():
 
         # Shrunk by one part in 10^9, the equal pairs contract, the first
         # in pair order is reported, and for the second of two components.
-        shrunk = tree.scaled(1 - F(1, 10 ** 9))
+        shrunk = scaled_tree(tree, 1 - F(1, 10 ** 9))
         pair = first_contraction(g, shrunk)
         assert pair is not None
         assert check_expansive(g.metric, shrunk, tmap) == (False, pair)

@@ -12,14 +12,19 @@ from helpers import (
     diamond,
     laakso0230,
     laakso1221,
+    reference_max_cycles,
     reference_spot_check_isometry,
     theta,
+    weighted1220,
+    weighted1331,
 )
-from slashpow.constructions import LaaksoParams, uniform_laakso
+from slashpow import slash
+from slashpow.constructions import LaaksoParams, MeasuredGraph, uniform_laakso
 from slashpow.core import cycle_edge_indices, geodesic_metric, single_source_distances
-from slashpow.errors import CapExceeded, InputError, NoCycle, SelectorError
+from slashpow.errors import CapExceeded, InputError, InvalidPath, NoCycle, SelectorError
 from slashpow.laakso import (
     LaaksoBase,
+    MaxCycles,
     _power_of_two,
     _spot_check_isometry,
     balanced_laakso_pipeline,
@@ -127,6 +132,44 @@ def test_enumeration_count_level_three():
     for c in cycles[:: 512]:
         length = sum((g.weights[ei] for ei in cycle_edge_indices(g, c)), F(0))
         assert length == base.c0
+
+
+def restricted_diamond() -> MeasuredGraph:
+    """The diamond with all its measure on one branch."""
+    g = diamond().graph
+    return MeasuredGraph(graph=g, nu=(F(1, 2), F(1, 2), F(0), F(0)), restricted=True)
+
+
+@pytest.mark.parametrize("base, n", [
+    (diamond, 1), (diamond, 2), (diamond, 3), (laakso1221, 1), (laakso1221, 2),
+    (weighted1220, 2), (weighted1331, 2), (restricted_diamond, 2)])
+def test_bulk_enumeration_matches_the_lift_cycle_reference(base, n):
+    power = slash_power(base(), n)
+    g = power.graph.graph
+    cycles = enumerate_max_cycles(power)
+    assert isinstance(cycles, MaxCycles) and cycles.power is power
+    assert list(cycles) == list(reference_max_cycles(power))
+    assert len(cycles.edges) == len(cycles)
+    for c, edges in zip(cycles, cycles.edges):
+        assert edges == cycle_edge_indices(g, c)
+
+
+def test_enumeration_checks_every_cycle_against_the_graph(monkeypatch):
+    power = slash_power(diamond(), 2)
+    copy_walk = slash._Layout.copy_walk
+
+    def shifted_edges(self, prev, prev_edge, walk):
+        vertices, edges = copy_walk(self, prev, prev_edge, walk)
+        return vertices, tuple(e ^ 1 for e in edges)
+
+    def revisits(self, prev, prev_edge, walk):
+        vertices, edges = copy_walk(self, prev, prev_edge, walk)
+        return vertices[:1] * len(vertices), edges
+
+    for fake, message in ((shifted_edges, "leaves the graph"), (revisits, "revisits")):
+        monkeypatch.setattr(slash._Layout, "copy_walk", fake)
+        with pytest.raises(InvalidPath, match=message):
+            enumerate_max_cycles(power)
 
 
 def test_pipeline_three_branch():

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import slashpow as sp
+from helpers import slash_product
 from slashpow import serialization as ser
 from slashpow.constructions import build_cycle, build_laakso, build_path
 from slashpow.core import geodesic_metric, is_normalized_geodesic_st
@@ -75,7 +75,7 @@ def test_random_builders_are_normalized(mg):
 @given(measured_graphs, measured_graphs)
 @settings(max_examples=30, deadline=None)
 def test_product_invariants(h, g):
-    prod = sp.slash_product(h, g)
+    prod = slash_product(h, g)
     assert prod.graph.edge_count == h.graph.edge_count * g.graph.edge_count
     assert sum(prod.nu) == 1
     assert is_normalized_geodesic_st(prod.graph)

@@ -7,10 +7,12 @@ import pytest
 import slashpow as sp
 from helpers import (
     all_pairs,
+    associativity_isomorphism_check,
     diamond,
     laakso0230,
     laakso1221,
     reference_layout,
+    slash_product,
     three_branch,
     weighted0230,
 )
@@ -24,11 +26,9 @@ from slashpow.core import (
 from slashpow.errors import CapExceeded, InputError, InvalidPath, NotNormalized
 from slashpow.slash import (
     LazyPowerMetric,
-    associativity_isomorphism_check,
     lift_cycle,
     lift_path,
     slash_power,
-    slash_product,
 )
 
 
