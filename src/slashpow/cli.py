@@ -23,15 +23,15 @@ from .constructions import (
     build_cycle,
     build_laakso,
     build_path,
-    laakso_measure,
     uniform_laakso,
 )
 from .core import StGraph, _str_digit_limit
 from .embeddings import (
+    STEINER_FACTOR,
     DistortionReport,
     distortion_report,
     frt_embed,
-    lower_bound_c_nu,
+    oracle_min_expected_distortion,
 )
 from .errors import CapExceeded, InputError, SchemaError, SlashpowError
 from .laakso import (
@@ -192,13 +192,12 @@ def _cmd_find_balanced(args: argparse.Namespace) -> int:
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     mg = _need_measured(_load_graph(args.graph))
     result = balanced_laakso_pipeline(mg)
-    sub_measured = laakso_measure(result.subgraph.graph, result.subgraph.structure)
     _write(args.out, ser.document_pieces({
         "n": result.n,
         "c0": ser.fraction_str(result.c0),
         "power_edges": result.power.graph.graph.edge_count,
         "support_edges": sum(1 for x in result.measure.nu if x),
-        "subgraph": sub_measured,
+        "subgraph": result.measure,
     }))
     return EXIT_OK
 
@@ -248,19 +247,20 @@ def _cmd_embed_frt(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     mg = _need_measured(_load_graph(args.graph))
-    report = lower_bound_c_nu(mg)
+    result = oracle_min_expected_distortion(mg)
+    value, general = result.value, result.value / STEINER_FACTOR
     if args.json:
         print(json.dumps({
-            "steiner_free": ser.fraction_str(report.steiner_free),
-            "steiner_free_decimal": f"{float(report.steiner_free):.6f}",
-            "general": ser.fraction_str(report.general),
-            "prufer": list(report.oracle.prufer),
-            "tree_weights": [ser.fraction_str(w) for w in report.oracle.tree.weights],
+            "steiner_free": ser.fraction_str(value),
+            "steiner_free_decimal": f"{float(value):.6f}",
+            "general": ser.fraction_str(general),
+            "prufer": list(result.prufer),
+            "tree_weights": [ser.fraction_str(w) for w in result.tree.weights],
         }, indent=2))
     else:
-        print(f"steiner-free lower bound {ser.fraction_str(report.steiner_free)} "
-              f"(~{float(report.steiner_free):.4f}); "
-              f"general bound {ser.fraction_str(report.general)}")
+        print(f"steiner-free lower bound {ser.fraction_str(value)} "
+              f"(~{float(value):.4f}); "
+              f"general bound {ser.fraction_str(general)}")
     return EXIT_OK
 
 

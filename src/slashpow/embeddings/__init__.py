@@ -4,13 +4,11 @@ dominating trees."""
 
 from .distortion import (
     DistortionReport,
-    LowerBoundReport,
     TruncatedBoundResult,
     check_expansive,
     cycle_embedding_witness,
     distortion_report,
     expected_distortion,
-    lower_bound_c_nu,
     stochastic_distortion_of,
     truncated_distortion_bound,
 )
@@ -18,6 +16,7 @@ from .frt import frt_embed, frt_tree
 from .lp import LPResult, solve_min
 from .oracle import (
     ORACLE_VERTEX_CAP,
+    STEINER_FACTOR,
     OracleResult,
     iter_labeled_trees,
     optimal_tree_weights,
@@ -35,9 +34,9 @@ __all__ = [
     "DistortionReport",
     "GeodesicTree",
     "LPResult",
-    "LowerBoundReport",
     "ORACLE_VERTEX_CAP",
     "OracleResult",
+    "STEINER_FACTOR",
     "StochasticTreeEmbedding",
     "TreeMap",
     "TruncatedBoundResult",
@@ -49,7 +48,6 @@ __all__ = [
     "frt_tree",
     "identity_tree_map",
     "iter_labeled_trees",
-    "lower_bound_c_nu",
     "optimal_tree_weights",
     "oracle_min_expected_distortion",
     "prufer_to_edges",

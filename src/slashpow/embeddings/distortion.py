@@ -14,7 +14,6 @@ from ..core import GeodesicMetric, StGraph
 from ..errors import EdgeSizeViolation, InputError, NotExpansive, WitnessNotFound
 from ..laakso import LaaksoBase, MaxCycles, enumerate_max_cycles
 from ..slash import SlashPower
-from .oracle import OracleResult, oracle_min_expected_distortion
 from .trees import GeodesicTree, StochasticTreeEmbedding, TreeMap
 
 ZERO = Fraction(0)
@@ -241,23 +240,3 @@ def truncated_distortion_bound(power: SlashPower, tree: GeodesicTree,
     return TruncatedBoundResult(value=value, bound=bound,
                                 holds=value >= bound,
                                 cycle_witnesses=tuple(witnesses))
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    """Certified lower bound for stochastic tree distortion.
-
-    `steiner_free` is exact over trees on the graph's own vertices;
-    `general` divides by the factor-8 cost of removing Steiner points and is
-    valid against arbitrary geodesic trees.
-    """
-
-    steiner_free: Fraction
-    general: Fraction
-    oracle: OracleResult
-
-
-def lower_bound_c_nu(mg: MeasuredGraph) -> LowerBoundReport:
-    result = oracle_min_expected_distortion(mg)
-    return LowerBoundReport(steiner_free=result.value,
-                            general=result.value / 8, oracle=result)

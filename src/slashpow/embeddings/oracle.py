@@ -4,7 +4,8 @@ weights by an exact LP, and take the best expected distortion.
 
 Steiner points are deliberately excluded so the search stays finite; a
 Steiner-free optimum over-estimates the unrestricted infimum by at most a
-factor 8, and callers report both numbers.
+factor STEINER_FACTOR = 8, and callers report both numbers: the optimum
+divided by it is a lower bound against arbitrary geodesic trees.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .lp import solve_min
 from .trees import GeodesicTree, TreeMap, identity_tree_map
 
 ORACLE_VERTEX_CAP = 8
+STEINER_FACTOR = 8
 
 
 def prufer_to_edges(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]:

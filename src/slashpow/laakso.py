@@ -1,8 +1,8 @@
 """Maximal-cycle combinatorics in powers of balanced Laakso graphs, the
 balanced-subgraph finder for unbalanced ones, and the end-to-end pipeline
 that turns any normalized geodesic s-t graph with a cycle into a balanced
-Laakso s-t subgraph of one of its slash powers with small edges and a
-restricted edge measure."""
+Laakso s-t subgraph of one of its slash powers with small edges and its
+stem/branch measure."""
 
 from __future__ import annotations
 
@@ -27,11 +27,11 @@ from .core import (
     CycleSeq,
     PathSeq,
     StGraph,
+    _simple_paths,
     _str_digit_limit,
     cycle_edge_indices,
     cycle_length,
     enumerate_cycles,
-    enumerate_st_paths,
     is_normalized_geodesic_st,
     is_strictly_geodesic_st,
     path_cap,
@@ -382,7 +382,7 @@ def find_balanced_laakso(mg: MeasuredGraph) -> BalancedLaaksoWitness:
 class PipelineResult:
     """Power index N, the materialized N-th power, a balanced Laakso s-t
     subgraph with all edge weights at most a quarter of its cycle length, and
-    the measure supported on the subgraph (explicit zeros elsewhere)."""
+    the subgraph's stem/branch measure, on the subgraph's own edges."""
 
     n: int
     power: SlashPower
@@ -394,8 +394,8 @@ class PipelineResult:
 def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
     """Find N and a balanced Laakso s-t subgraph of the N-th power whose
     cycle realizes the maximal cycle length of the input and whose edges all
-    weigh at most a quarter of it; attach the standard stem/branch measure,
-    vanishing off the subgraph.
+    weigh at most a quarter of it; attach the subgraph's standard stem/branch
+    measure.
 
     Raises NoCycle when the input is a path, and CapExceeded when an s-t
     path or cycle count passes path_cap() or a power passes edge_cap().
@@ -426,11 +426,12 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
             and max(g.weights) <= quarter):
         power = slash_power(mg, 1)
         sub = build_laakso_subgraph(g, st.stem, st.branch1, st.branch2, st.tail)
-        measure = laakso_measure(g, st)
         return PipelineResult(n=1, power=power, subgraph=sub,
-                              measure=measure, c0=c0)
+                              measure=laakso_measure(sub.graph, sub.structure), c0=c0)
 
-    route = next((p for p in enumerate_st_paths(g) if len(p) >= 3), None)
+    # The least s-t path with an inner vertex, without listing them all.
+    route = next((tuple(p) for p in _simple_paths(g.out_adj, g.s, stop=g.t)
+                  if p[-1] == g.t and len(p) >= 3), None)
     assert route is not None, "a graph with a cycle has an s-t path of length >= 2"
 
     pw2 = slash_power(mg, 2)
@@ -444,7 +445,7 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
     n_star = witness.n0
     inner_power = witness.power
     segments = [witness.r1, witness.q1, witness.q2, witness.r2]
-    least_route = enumerate_st_paths(inner.graph)[0]
+    least_route = witness.base.structure.route1()
 
     def seg_max_weight(power: SlashPower, segs: Sequence[PathSeq]) -> Fraction:
         gg = power.graph.graph
@@ -467,12 +468,6 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
     sub = build_laakso_subgraph(power.graph.graph, *final_segments)
     assert sub.structure.params.balanced
 
-    small = laakso_measure(sub.graph, sub.structure)
-    nu = [ZERO] * power.graph.graph.edge_count
-    for sub_ei, parent_ei in enumerate(sub.parent_edges):
-        nu[parent_ei] = small.nu[sub_ei]
-    measure = MeasuredGraph(graph=power.graph.graph, nu=tuple(nu), restricted=True)
-
     sub_cycle_len = cycle_length(sub.graph, sub.structure.cycle)
     if sub_cycle_len != c0:
         raise InputError(f"subgraph cycle has length {sub_cycle_len}, expected {c0}")
@@ -480,7 +475,7 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
         raise InputError("subgraph still has an edge above a quarter of the cycle")
     _spot_check_isometry(power, sub)
     return PipelineResult(n=n_final, power=power, subgraph=sub,
-                          measure=measure, c0=c0)
+                          measure=laakso_measure(sub.graph, sub.structure), c0=c0)
 
 
 def _spot_check_isometry(power: SlashPower, sub: LaaksoSubgraph) -> None:

@@ -310,9 +310,9 @@ def loads(text: str) -> StGraph | MeasuredGraph:
 # pieces an edge row is made of, and each distinct weight or measure object
 # is rendered once.  A writer returns an iterator over those shared pieces;
 # every name and value is rendered when the writer is called, so nothing can
-# fail while the pieces are drawn.  dumps, dumps_document and export_dot
-# join them, and the CLI writes them to the file as they come, so the whole
-# document is never held as one string.
+# fail while the pieces are drawn.  dumps and export_dot join them, and the
+# CLI writes them to the file as they come, so the whole document is never
+# held as one string.
 
 _INDENT = "  "
 
@@ -411,12 +411,6 @@ def document_pieces(fields: dict[str, Any]) -> Iterator[str]:
     """The pieces of a JSON object of ints, strings, lists and graphs; each
     graph is written as its graph document, nested one level down."""
     return _object(0, [(key, _value(value, 1)) for key, value in fields.items()])
-
-
-def dumps_document(fields: dict[str, Any]) -> str:
-    """A JSON object of ints, strings, lists and graphs; each graph is written
-    as its graph document, nested one level down."""
-    return "".join(document_pieces(fields))
 
 
 def _dot_id(text: str) -> str:

@@ -292,7 +292,7 @@ def _lift(power: SlashPower, level: int, walk: Sequence[int],
         raise InputError("need one base path per step")
     src = power.level_graph(level).graph
     base = power.base.graph
-    out: list[int] = [stops[0]]
+    out: list[int] = []
     # Callers repeat a few route objects: each is checked at its first step,
     # keyed by id(), which `choices` keeps valid.
     checked: set[int] = set()
@@ -301,13 +301,10 @@ def _lift(power: SlashPower, level: int, walk: Sequence[int],
             _require_base_st_path(base, choice)
             checked.add(id(choice))
         ei = src.edge_index(a, b)
-        forward = src.edges[ei] == (a, b)
-        inner = choice[1:-1] if forward else tuple(reversed(choice))[1:-1]
-        for v in inner:
-            out.append(power._layout.copy_vertex(src, ei, v))
-        out.append(b)
-    if closed:
-        out.pop()
+        way = choice if src.edges[ei] == (a, b) else choice[::-1]
+        out.extend(power._layout.copy_walk(src, ei, way)[0])
+    if not closed:
+        out.append(stops[-1])
     if len(set(out)) != len(out):
         raise InvalidPath("lifted walk revisits a vertex")
     return tuple(out)

@@ -35,7 +35,7 @@ from slashpow.errors import (
     WitnessNotFound,
 )
 from slashpow.laakso import LaaksoBase, enumerate_max_cycles
-from slashpow.serialization import parse_fraction
+from slashpow.serialization import document_pieces, parse_fraction
 from slashpow.slash import SlashPower, _raw_product, _require_normalized, lift_cycle
 from slashpow.verify import unit_cycle_measured  # noqa: F401  (shared fixture)
 
@@ -448,3 +448,9 @@ def reference_loads(text: str) -> StGraph | MeasuredGraph:
     if isinstance(doc, dict) and "measure" in doc:
         return measured_from_dict(doc)
     return graph_from_dict(doc)
+
+
+def dumps_document(fields: dict[str, Any]) -> str:
+    """A JSON object of ints, strings, lists and graphs; each graph is written
+    as its graph document, nested one level down."""
+    return "".join(document_pieces(fields))

@@ -58,7 +58,7 @@ text = serialization.dumps(diamond())[:-2] + ', "note": "' + chr(233) + '"}'
 serialization.loads(text)
 calls = {name: rec.name_ids.count(i) for i, name in enumerate(rec.names)}
 counters = dict(rec.counters)
-embeddings.lower_bound_c_nu(uniform_laakso((1, 2, 2, 1)))
+embeddings.oracle_min_expected_distortion(uniform_laakso((1, 2, 2, 1)))
 embeddings.frt_embed(core.geodesic_metric(diamond().graph), seed=1,
                      samples=int(sys.argv[2]))
 power3 = slash_power(diamond(), 3)

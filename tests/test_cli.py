@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import diamond, wide_path_doc
+from helpers import diamond, dumps_document, wide_path_doc
 from slashpow import serialization as ser
 from slashpow import verify
 from slashpow.cli import EXIT_CAP, EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY, _write, main
@@ -286,11 +286,11 @@ def document_commands(tmp_path, diamond_file):
         (["build", "--laakso", "0,2,2,0", "--uniform-weights"], ser.dumps(d)),
         (["power", "--base", str(diamond_file), "--n", "3"],
          ser.dumps(power.graph, power.label_strings())),
-        (["find-balanced", "--params", "0,2,3,0"], ser.dumps_document({
+        (["find-balanced", "--params", "0,2,3,0"], dumps_document({
             "n0": witness.n0, "i": witness.i,
             "params": list(witness.subgraph.structure.params.as_tuple()),
             "subgraph": witness.subgraph.graph})),
-        (["pipeline", "--graph", str(diamond_file)], ser.dumps_document({
+        (["pipeline", "--graph", str(diamond_file)], dumps_document({
             "n": result.n, "c0": ser.fraction_str(result.c0),
             "power_edges": result.power.graph.graph.edge_count,
             "support_edges": sum(1 for x in result.measure.nu if x),

@@ -17,6 +17,7 @@ from helpers import (
 )
 from slashpow.core import geodesic_metric
 from slashpow.embeddings import (
+    STEINER_FACTOR,
     GeodesicTree,
     StochasticTreeEmbedding,
     TreeMap,
@@ -27,7 +28,6 @@ from slashpow.embeddings import (
     frt_embed,
     frt_tree,
     identity_tree_map,
-    lower_bound_c_nu,
     oracle_min_expected_distortion,
     stochastic_distortion_of,
     distortion,
@@ -319,11 +319,11 @@ def test_truncated_bound_takes_only_the_cycles_of_its_own_power():
 
 
 def test_lower_bound_report():
-    rep = lower_bound_c_nu(diamond())
-    assert rep.steiner_free == F(3, 2)
-    assert rep.general == F(3, 16)
+    # The general bound the oracle command prints is the value over 8.
+    assert oracle_min_expected_distortion(diamond()).value == F(3, 2)
+    assert STEINER_FACTOR == 8
     path = sp.build_path([F(1, 2)] * 2)
-    assert lower_bound_c_nu(path).steiner_free == 1
+    assert oracle_min_expected_distortion(path).value == 1
 
 
 def test_distortion_report_rows():

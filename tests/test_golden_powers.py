@@ -2,14 +2,18 @@
 weight and measure value of a power came to be built, checked and parsed
 once.  A changed weight, measure, vertex name, edge order or label shows up
 here as a changed digest; the product check ties every power value to the
-base values along its edge label."""
+base values along its edge label.  Every exit of the pipeline, and the
+oracle's JSON report, has a digest of its own as well."""
 
 import hashlib
 import json
 import math
+from fractions import Fraction as F
 
 import pytest
 
+from helpers import diamond, laakso0230, laakso1221, theta, three_branch
+from slashpow import build_cycle, build_laakso
 from slashpow import serialization as ser
 from slashpow.cli import EXIT_OK, main
 
@@ -35,6 +39,42 @@ COLLIDING_BASE = """{"vertices": ["0:a~", "a", "0:a", "1:a", "0/0:a"],
  "measure": ["1/6", "1/6", "1/6", "1/6", "1/6", "1/6"]}
 """
 COLLIDING_POWER_3 = "5bf9ae0874b45bf3b6e781047deeef5dd88a62f8f95fbba6fad03338f2a24859"
+
+
+def four_cycle():
+    return build_cycle([F(1, 2)] * 2, [F(1, 2)] * 2)
+
+
+def cycle1200():
+    return build_cycle([F(1, 600)] * 600, [F(1, 600)] * 600)
+
+
+def big_weight_diamond():
+    return build_laakso((0, 2, 2, 0), branch1=[F(3, 4), F(1, 4)],
+                        branch2=[F(3, 4), F(1, 4)])
+
+
+# (input, sha256 of `pipeline --out` on it), one per pipeline exit: the
+# diamond and both normalized cycles exit at N = 1; theta and (0,2,3,0)
+# reach N = 6; three_branch and the big-weight diamond are squared too.
+PIPELINE_GOLDENS = {
+    "diamond": (diamond, "c96a1b826ce40c4569698a0cd428c8015f4573524d0c2a00fd6bb7f2a03e937c"),
+    "normalized 4-cycle": (
+        four_cycle, "e1ce26d83bca245165cc6fc55d2b8f254490456de950bbb5c3b68cb24846b650"),
+    "normalized 1200-cycle": (
+        cycle1200, "30962aab148b6d73e23e71a481356a3f47ee6af25d2dde2f508f7f59df409271"),
+    "theta": (theta, "958eabc977a224903bc6e37d6242115497d5d6477e09833b7a706f2fab80105d"),
+    "0,2,3,0": (laakso0230, "fab0683120ce129cb45f2dbe2f0df16b2808fe6ea3cd6bf9bd68e4be9d42e160"),
+    "three_branch": (
+        three_branch, "d91f4ad0d0094ce76c549acdc46b72ee98a741bac484c3df5db0bbb59a3349fd"),
+    "big-weight diamond": (
+        big_weight_diamond, "ee7212963b850fd14d0ff1d42017c154bede8bb394e3009a6c851b5cda82fbc3"),
+}
+# (input, sha256 of `oracle --json` stdout on it)
+ORACLE_GOLDENS = {
+    "diamond": (diamond, "04fa8780524fdc8caf109da718ca047e707432082e6bc3c3bc2125686c38821a"),
+    "1,2,2,1": (laakso1221, "d7a63fcb3218c479cc0d7414c9155a1aa87a164b161f7bc884e954c580c9b694"),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -69,6 +109,22 @@ def test_pipeline_0240_is_byte_identical(tmp_path, monkeypatch):
                  "--out", "l.json"]) == EXIT_OK
     assert main(["pipeline", "--graph", "l.json", "--out", "r.json"]) == EXIT_OK
     assert _sha256((tmp_path / "r.json").read_bytes()) == PIPELINE_0240
+
+
+@pytest.mark.parametrize("make,digest", PIPELINE_GOLDENS.values(), ids=PIPELINE_GOLDENS)
+def test_pipeline_is_byte_identical(tmp_path, monkeypatch, make, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(ser.dumps(make()))
+    assert main(["pipeline", "--graph", "g.json", "--out", "r.json"]) == EXIT_OK
+    assert _sha256((tmp_path / "r.json").read_bytes()) == digest
+
+
+@pytest.mark.parametrize("make,digest", ORACLE_GOLDENS.values(), ids=ORACLE_GOLDENS)
+def test_oracle_json_is_byte_identical(tmp_path, capsys, make, digest):
+    graph = tmp_path / "g.json"
+    graph.write_text(ser.dumps(make()))
+    assert main(["oracle", "--graph", str(graph), "--json"]) == EXIT_OK
+    assert _sha256(capsys.readouterr().out.encode()) == digest
 
 
 def test_colliding_names_power_is_byte_identical(tmp_path, monkeypatch):

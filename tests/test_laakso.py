@@ -370,6 +370,7 @@ def test_pipeline_diamond():
     assert r.n == 1
     assert r.c0 == 2
     assert r.subgraph.structure.params.as_tuple() == (0, 2, 2, 0)
+    assert r.measure.graph is r.subgraph.graph
     assert sum(r.measure.nu) == 1
     assert not r.measure.restricted
 
@@ -463,10 +464,9 @@ def test_pipeline_theta():
     sub = r.subgraph
     assert max(sub.graph.weights) <= quarter
     assert sp.validate_st_graph(sub.graph).ok
-    assert sum(r.measure.nu) == 1
-    assert r.measure.restricted
-    support = [ei for ei, x in enumerate(r.measure.nu) if x]
-    assert sorted(support) == sorted(sub.parent_edges)
+    assert r.measure.graph is sub.graph
+    assert r.measure == sp.laakso_measure(sub.graph, sub.structure)
+    assert sum(r.measure.nu) == 1 and not r.measure.restricted
 
     cyc_len = sum((sub.graph.weights[ei]
                    for ei in cycle_edge_indices(sub.graph, sub.structure.cycle)),

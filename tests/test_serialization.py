@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slashpow as sp
-from helpers import diamond, laakso1221, theta, unit_cycle
+from helpers import diamond, dumps_document, laakso1221, theta, unit_cycle
 from slashpow import serialization as ser
 from slashpow.cli import main
 from slashpow.constructions import MeasuredGraph
@@ -285,7 +285,7 @@ scalars = st.one_of(st.integers(-10**30, 10**30), st.booleans(), names)
 def test_dumps_document_matches_json_dumps(head, obj):
     doc = dict(head, subgraph=obj)
     reference = dict(head, subgraph=_reference_doc(obj))
-    assert ser.dumps_document(doc) == json.dumps(reference, indent=2)
+    assert dumps_document(doc) == json.dumps(reference, indent=2)
 
 
 @pytest.mark.parametrize("argv", [
