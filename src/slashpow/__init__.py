@@ -46,6 +46,7 @@ from .laakso import (
     selector_identity_sum,
 )
 from .slash import (
+    LabeledPower,
     LazyPowerMetric,
     SlashPower,
     lift_cycle,

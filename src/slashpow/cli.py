@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -78,9 +79,9 @@ def _newline_ended(pieces: Iterable[str]) -> Iterator[str]:
 
 
 def _write(path: Optional[str], pieces: Iterable[str]) -> None:
-    """Write `pieces` as UTF-8 as they come, to a file or to stdout (ending
-    in a newline), whatever encoding the locale or PYTHONIOENCODING gives
-    stdout.
+    """Write `pieces` as UTF-8, joined a few thousand at a time, to a file
+    or to stdout (ending in a newline), whatever encoding the locale or
+    PYTHONIOENCODING gives stdout.
 
     Stdout is written through a file object of its own on the same file
     descriptor, closed here: a write that fails is an OSError of the
@@ -95,8 +96,11 @@ def _write(path: Optional[str], pieces: Iterable[str]) -> None:
         except io.UnsupportedOperation:  # an in-memory stream takes str as it is
             sys.stdout.writelines(pieces)
             return
+    pieces = iter(pieces)
     with open(target, "w", encoding="utf-8", closefd=closefd) as fh:
-        fh.writelines(pieces)
+        # the batch, not the joined text, ends the loop: pieces may be empty
+        while batch := list(itertools.islice(pieces, 4096)):
+            fh.write("".join(batch))
 
 
 def _load_graph(path: str) -> StGraph | MeasuredGraph:
@@ -195,7 +199,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     _write(args.out, ser.document_pieces({
         "n": result.n,
         "c0": ser.fraction_str(result.c0),
-        "power_edges": result.power.graph.graph.edge_count,
+        "power_edges": result.power.edge_count,
         "support_edges": sum(1 for x in result.measure.nu if x),
         "subgraph": result.measure,
     }))

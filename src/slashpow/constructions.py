@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     CycleSeq,
@@ -24,6 +24,9 @@ from .core import (
     validate_st_graph,
 )
 from .errors import CapExceeded, InputError, NoBalancedSplit, NotLaakso
+
+if TYPE_CHECKING:
+    from .slash import LabeledPower
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -265,14 +268,24 @@ class LaaksoSubgraph:
     parent_edges: tuple[int, ...]
 
 
-def build_laakso_subgraph(g: StGraph, stem: Sequence[int], arc1: Sequence[int],
-                          arc2: Sequence[int], tail: Sequence[int]) -> LaaksoSubgraph:
-    """Assemble a Laakso subgraph from four vertex paths of a parent graph.
+def build_laakso_subgraph(g: "StGraph | LabeledPower", stem: Sequence[int],
+                          arc1: Sequence[int], arc2: Sequence[int],
+                          tail: Sequence[int]) -> LaaksoSubgraph:
+    """Assemble a Laakso subgraph from four vertex paths of a parent graph,
+    an StGraph or a slash power read by labels.
 
     Edges are re-oriented canonically (stem s->u, both branches u->v, tail
     v->t); weights and names come from the parent.  The parent orientation of
-    a cycle arc need not be consistent, so it is not reused.
+    a cycle arc need not be consistent, so it is not reused.  It is refused
+    when it would have more than edge_cap() edges.
     """
+    size, cap = len(stem) + len(arc1) + len(arc2) + len(tail) - 4, edge_cap()
+    if size > cap:
+        raise CapExceeded(f"Laakso subgraph would have {size} edges, cap {cap}")
+    if isinstance(g, StGraph):
+        edge_index, weight, name = g.edge_index, g.weights.__getitem__, g.names.__getitem__
+    else:
+        edge_index, weight, name = g.edge_between, g.weight, g.vertex_name
     segments = [tuple(stem), tuple(arc1), tuple(arc2), tuple(tail)]
     for seg in segments:
         if len(set(seg)) != len(seg):
@@ -304,10 +317,10 @@ def build_laakso_subgraph(g: StGraph, stem: Sequence[int], arc1: Sequence[int],
     for seg in segments:
         for a, b in zip(seg, seg[1:]):
             edges.append((to_new[a], to_new[b]))
-            ei = g.edge_index(a, b)
-            weights.append(g.weights[ei])
+            ei = edge_index(a, b)
+            weights.append(weight(ei))
             parent_edges.append(ei)
-    sub = StGraph(names=tuple(g.names[pv] for pv in used), edges=tuple(edges),
+    sub = StGraph(names=tuple(map(name, used)), edges=tuple(edges),
                   weights=tuple(weights), s=to_new[segments[0][0]],
                   t=to_new[segments[3][-1]])
     params = LaaksoParams(k=len(stem) - 1, l1=len(arc1) - 1,

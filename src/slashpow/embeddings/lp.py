@@ -182,5 +182,5 @@ def solve_min(c: Sequence[Fraction], a: Sequence[Sequence[Fraction]],
         j = basis[r]
         if j < n:
             x[j] = Fraction(tab[r][-1] * scale[j], d * rhs_scale)
-    value = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
-    return LPResult(value=value, x=tuple(x))
+    # The objective row's rhs is minus d times the value in scaled units.
+    return LPResult(value=Fraction(-tab[m][-1], d * cost_scale * rhs_scale), x=tuple(x))

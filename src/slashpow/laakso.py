@@ -49,6 +49,7 @@ from .errors import (
 )
 from .slash import (
     EdgeLabel,
+    LabeledPower,
     LazyPowerMetric,
     SlashPower,
     _require_base_st_path,
@@ -204,7 +205,7 @@ def enumerate_max_cycles(power: SlashPower) -> MaxCycles:
     for route in routes:
         _require_base_st_path(base.graph, route)
     ways = [(route, route[::-1]) for route in routes]
-    layout = power._layout
+    copy_walk = power._copy_walk
     cycles: list[CycleSeq] = [base.structure.cycle]
     edges: list[tuple[int, ...]] = [cycle_edge_indices(base.graph, cycles[0])]
     for level in range(1, power.n):
@@ -212,7 +213,7 @@ def enumerate_max_cycles(power: SlashPower) -> MaxCycles:
         lifted: list[CycleSeq] = []
         lifted_edges: list[tuple[int, ...]] = []
         for c, es in zip(cycles, edges):
-            steps = [[layout.copy_walk(prev, ei, way[prev.edges[ei][0] != a])
+            steps = [[copy_walk(prev, ei, way[prev.edges[ei][0] != a])
                       for way in ways] for a, ei in zip(c, es)]
             lifted.extend(_joins([[v for v, _ in step] for step in steps]))
             lifted_edges.extend(_joins([[e for _, e in step] for step in steps]))
@@ -380,12 +381,12 @@ def find_balanced_laakso(mg: MeasuredGraph) -> BalancedLaaksoWitness:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Power index N, the materialized N-th power, a balanced Laakso s-t
-    subgraph with all edge weights at most a quarter of its cycle length, and
-    the subgraph's stem/branch measure, on the subgraph's own edges."""
+    """Power index N, the N-th power addressed by labels, a balanced Laakso
+    s-t subgraph of it with all edge weights at most a quarter of its cycle
+    length, and the subgraph's stem/branch measure, on its own edges."""
 
     n: int
-    power: SlashPower
+    power: LabeledPower
     subgraph: LaaksoSubgraph
     measure: MeasuredGraph
     c0: Fraction
@@ -424,9 +425,8 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
         st = None
     if (st is not None and st.params.balanced
             and max(g.weights) <= quarter):
-        power = slash_power(mg, 1)
         sub = build_laakso_subgraph(g, st.stem, st.branch1, st.branch2, st.tail)
-        return PipelineResult(n=1, power=power, subgraph=sub,
+        return PipelineResult(n=1, power=LabeledPower(mg, 1), subgraph=sub,
                               measure=laakso_measure(sub.graph, sub.structure), c0=c0)
 
     # The least s-t path with an inner vertex, without listing them all.
@@ -463,9 +463,10 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
                     for seg in segments]
 
     n_final = 2 * n_star
-    power = slash_power(mg, n_final)
+    # G^N is read by labels: the subgraph is the one graph built from it.
+    power = LabeledPower(mg, n_final)
     final_segments = _transport_segments(power, pw2, extraction, inner_power, segments)
-    sub = build_laakso_subgraph(power.graph.graph, *final_segments)
+    sub = build_laakso_subgraph(power, *final_segments)
     assert sub.structure.params.balanced
 
     sub_cycle_len = cycle_length(sub.graph, sub.structure.cycle)
@@ -478,7 +479,7 @@ def balanced_laakso_pipeline(mg: MeasuredGraph) -> PipelineResult:
                           measure=laakso_measure(sub.graph, sub.structure), c0=c0)
 
 
-def _spot_check_isometry(power: SlashPower, sub: LaaksoSubgraph) -> None:
+def _spot_check_isometry(power: LabeledPower, sub: LaaksoSubgraph) -> None:
     """Induced distances from the subgraph vertices range(0, nv, max(1,
     nv // 8)) must equal the ambient restriction: all nv of them when
     nv < 16, otherwise 8 to 12 spread evenly over the vertex ids.  Ambient
@@ -500,7 +501,7 @@ def _spot_check_isometry(power: SlashPower, sub: LaaksoSubgraph) -> None:
                     f"subgraph is not isometric at pair ({u}, {v})")
 
 
-def _transport_segments(power: SlashPower, pw2: SlashPower,
+def _transport_segments(power: LabeledPower, pw2: SlashPower,
                         extraction: LaaksoSubgraph, inner_power: SlashPower,
                         segments: Sequence[PathSeq]) -> list[PathSeq]:
     """Map segment paths from a power of the extracted subgraph into the
@@ -521,7 +522,7 @@ def _transport_segments(power: SlashPower, pw2: SlashPower,
         return power.resolve_vertex(len(flat) + 1, power.edge_index(flat), v) if flat else v
 
     mapped = [tuple(map(vertex, seg)) for seg in segments]
-    final_g = power.graph.graph
-    if mapped[0][0] != final_g.s or mapped[3][-1] != final_g.t:
+    base = power.base.graph
+    if mapped[0][0] != base.s or mapped[3][-1] != base.t:
         raise AssertionError("transported segments do not run from s to t")
     return mapped

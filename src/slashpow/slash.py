@@ -2,14 +2,15 @@
 
 The product H (/) G substitutes a copy of G for every edge of H, identifying
 copy boundaries with the endpoints of the replaced edge.  Edge weights and
-edge measures multiply.  Powers are materialized level by level; vertex ids
-of lower powers are stable prefixes of higher ones, which keeps lifting of
-paths cheap.
+edge measures multiply.  Powers are materialized level by level, or read
+from labels alone (LabeledPower); vertex ids of lower powers are stable
+prefixes of higher ones, which keeps lifting of paths cheap.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,6 +48,19 @@ def _interiors(g: StGraph) -> tuple[int, ...]:
     return tuple(v for v in range(g.vertex_count) if v not in (g.s, g.t))
 
 
+def _printable(p: Fraction) -> Fraction:
+    """p, refused when its numerator or denominator is too long to print
+    (see core._str_digit_limit)."""
+    digits = _str_digit_limit()
+    # below 3*digits bits a part is under 8**digits < 10**digits
+    for part in (p.numerator, p.denominator):
+        if part.bit_length() >= 3 * digits and abs(part) >= 10 ** digits:
+            raise CapExceeded(
+                f"a product of weights or measures has more than {digits} "
+                "decimal digits (the int-to-str limit, PYTHONINTMAXSTRDIGITS)")
+    return p
+
+
 def _scaled_rows(scales: Sequence[Fraction], values: Sequence[Fraction]
                  ) -> list[tuple[Fraction, ...]]:
     """Per scale, the products scale * x over values.
@@ -56,20 +70,13 @@ def _scaled_rows(scales: Sequence[Fraction], values: Sequence[Fraction]
     rows built from these products are shared at the next level as well.
     Each distinct product is refused when its numerator or denominator is
     too long to print (see core._str_digit_limit)."""
-    digits = _str_digit_limit()
     canon: dict[Fraction, Fraction] = {}
     built: dict[int, tuple[Fraction, ...]] = {}
 
     def canonical(p: Fraction) -> Fraction:
         c = canon.get(p)
         if c is None:
-            # below 3*digits bits a part is under 8**digits < 10**digits
-            for part in (p.numerator, p.denominator):
-                if part.bit_length() >= 3 * digits and abs(part) >= 10 ** digits:
-                    raise CapExceeded(
-                        f"a product of weights or measures has more than {digits} "
-                        "decimal digits (the int-to-str limit, PYTHONINTMAXSTRDIGITS)")
-            c = canon[p] = p
+            c = canon[p] = _printable(p)
         return c
 
     rows = []
@@ -120,52 +127,6 @@ def _require_normalized(mg: MeasuredGraph, role: str) -> None:
         raise NotNormalized(f"{role} graph is not a normalized geodesic s-t graph")
 
 
-class _Layout:
-    """Addresses in the powers of one base graph, as _substitute lays them
-    out: edge i of level k is edge i % e of the copy that replaced edge
-    i // e of level k-1, so its label is the k base-e digits of i, and the
-    vertices new at level k follow level k-1's, one block of the base's
-    interior vertices per replaced edge.  Arguments are not checked."""
-
-    def __init__(self, base: StGraph):
-        self.base, self.e, self.interiors = base, base.edge_count, _interiors(base)
-        self._strings: dict[int, list[str]] = {}
-
-    def label(self, eidx: int, level: int) -> EdgeLabel:
-        return tuple(eidx // self.e ** j % self.e for j in range(level - 1, -1, -1))
-
-    def index(self, label: Sequence[int]) -> int:
-        return sum(d * self.e ** j for j, d in enumerate(reversed(label)))
-
-    def label_strings(self, level: int) -> list[str]:
-        """The slash-joined label of every edge of `level`, built on first use."""
-        if level not in self._strings:
-            self._strings[level] = ["/".join(p) for p in itertools.product(
-                map(str, range(self.e)), repeat=level)]
-        return self._strings[level]
-
-    def copy_vertex(self, prev: StGraph, prev_edge: int, v: int) -> int:
-        """Vertex at base vertex v of the copy of edge prev_edge of the level
-        graph prev, numbered in the next level."""
-        if v in (self.base.s, self.base.t):
-            return prev.edges[prev_edge][0 if v == self.base.s else 1]
-        return prev.vertex_count + prev_edge * len(self.interiors) + self.interiors.index(v)
-
-    def copy_walk(self, prev: StGraph, prev_edge: int, walk: Sequence[int]
-                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """A walk of the base graph inside the copy of edge prev_edge of the
-        level graph prev: its vertices but the last, and its edges, numbered
-        in the next level."""
-        first = prev_edge * self.e
-        return (tuple(self.copy_vertex(prev, prev_edge, v) for v in walk[:-1]),
-                tuple(first + self.base.edge_index(a, b) for a, b in zip(walk, walk[1:])))
-
-    def copy_address(self, prev: StGraph, vid: int) -> tuple[int, int]:
-        """(prev_edge, base vertex) of a vertex vid new after the level graph prev."""
-        prev_edge, rank = divmod(vid - prev.vertex_count, len(self.interiors))
-        return prev_edge, self.interiors[rank]
-
-
 def _require_index(what: str, i: int, count: int) -> None:
     if not (0 <= i < count):
         raise InputError(f"{what} {i} out of range 0..{count - 1}")
@@ -179,11 +140,140 @@ class SlashLevel:
 
 
 @dataclass(frozen=True)
-class SlashPower:
-    """Materialized slash power: only the level graphs are stored (_Layout)."""
+class LabeledPower:
+    """The n-th slash power of a checked base (see slash_power), addressed
+    by labels alone as _substitute lays it out: edge i of level k is edge
+    i % e of the copy that replaced edge i // e of level k-1, so its label
+    is the k base-e digits of i, and the vertices new at level k follow
+    level k-1's, one block of the base's interior vertices per replaced
+    edge.  No level graph is built."""
 
     base: MeasuredGraph
     n: int
+
+    @cached_property
+    def _interiors(self) -> tuple[int, ...]:
+        return _interiors(self.base.graph)
+
+    def _level(self, level: Optional[int]) -> int:
+        lv = self.n if level is None else level
+        if not (1 <= lv <= self.n):
+            raise InputError(f"level {lv} out of range 1..{self.n}")
+        return lv
+
+    def _copy_vertex(self, prev_count: int, ends: tuple[int, int], prev_edge: int,
+                     v: int) -> int:
+        """Vertex at base vertex v of the copy of edge prev_edge (with these
+        ends) of a level of prev_count vertices, numbered in the next one."""
+        g = self.base.graph
+        if v in (g.s, g.t):
+            return ends[0 if v == g.s else 1]
+        return prev_count + prev_edge * len(self._interiors) + self._interiors.index(v)
+
+    @property
+    def edge_count(self) -> int:
+        return self.base.graph.edge_count ** self.n
+
+    def vertex_count(self, level: Optional[int] = None) -> int:
+        """V_1 = |V| and V_{k+1} = V_k + e**k * |interiors|."""
+        lv, e = self._level(level), self.base.graph.edge_count
+        return self.base.graph.vertex_count + len(self._interiors) * (
+            lv - 1 if e == 1 else (e ** lv - e) // (e - 1))
+
+    def edge_label(self, eidx: int, level: Optional[int] = None) -> EdgeLabel:
+        lv, e = self._level(level), self.base.graph.edge_count
+        _require_index("edge", eidx, e ** lv)
+        return tuple(eidx // e ** j % e for j in range(lv - 1, -1, -1))
+
+    def edge_index(self, label: Sequence[int]) -> int:
+        """The edge of level len(label) with this label."""
+        self._level(len(label))
+        e = self.base.graph.edge_count
+        for d in label:
+            _require_index("edge coordinate", d, e)
+        return sum(d * e ** j for j, d in enumerate(reversed(label)))
+
+    def edge_ends(self, eidx: int, level: Optional[int] = None) -> tuple[int, int]:
+        """(tail, head) of an edge."""
+        lv, g = self._level(level), self.base.graph
+        label = self.edge_label(eidx, lv)
+        if lv == 1:
+            return g.edges[eidx]
+        prev_edge = eidx // g.edge_count
+        count, ends = self.vertex_count(lv - 1), self.edge_ends(prev_edge, lv - 1)
+        return tuple(self._copy_vertex(count, ends, prev_edge, v) for v in g.edges[label[-1]])
+
+    def edge_between(self, u: int, v: int, level: Optional[int] = None) -> int:
+        """The edge joining vertices u and v; InvalidPath when none does.  It
+        lies in the copy of the edge one level down that holds a vertex new
+        at this level or, when neither is new, that joins both there."""
+        lv, g = self._level(level), self.base.graph
+        for w in (u, v):
+            _require_index("vertex", w, self.vertex_count(lv))
+        if lv == 1:
+            return g.edge_index(u, v)
+        count = self.vertex_count(lv - 1)
+        prev_edge = (self.edge_index(self.vertex_label(max(u, v), lv)[:-1])
+                     if max(u, v) >= count else self.edge_between(u, v, lv - 1))
+        ends = self.edge_ends(prev_edge, lv - 1)
+        for j, edge in enumerate(g.edges):
+            if {self._copy_vertex(count, ends, prev_edge, x) for x in edge} == {u, v}:
+                return prev_edge * g.edge_count + j
+        raise InvalidPath(f"no edge between {u} and {v}")
+
+    def weight(self, eidx: int, level: Optional[int] = None) -> Fraction:
+        """The product of the base weights along the edge's label, refused
+        when too long to print."""
+        g = self.base.graph
+        return _printable(math.prod(g.weights[d] for d in self.edge_label(eidx, level)))
+
+    def label_strings(self) -> list[str]:
+        """The slash-joined label of every edge, in edge order."""
+        return ["/".join(p) for p in itertools.product(
+            map(str, range(self.base.graph.edge_count)), repeat=self.n)]
+
+    def resolve_vertex(self, level: int, prev_edge: int, base_vertex: int) -> int:
+        """Vertex of `level` sitting at `base_vertex` inside the copy that
+        replaced edge `prev_edge` of the previous level."""
+        if not (2 <= level <= self.n):
+            raise InputError(f"level {level} has no copies in a power of {self.n}")
+        ends = self.edge_ends(prev_edge, level - 1)
+        _require_index("base vertex", base_vertex, self.base.graph.vertex_count)
+        return self._copy_vertex(self.vertex_count(level - 1), ends, prev_edge, base_vertex)
+
+    def vertex_label(self, vid: int, level: Optional[int] = None) -> VertexLabel:
+        """Canonical label: the shortest (lexicographically least) address."""
+        lv = self._level(level)
+        _require_index("vertex", vid, self.vertex_count(lv))
+        while lv > 1:
+            count = self.vertex_count(lv - 1)
+            if vid >= count:
+                prev_edge, rank = divmod(vid - count, len(self._interiors))
+                return self.edge_label(prev_edge, lv - 1) + (self._interiors[rank],)
+            lv -= 1
+        return (vid,)
+
+    def vertex_name(self, vid: int, level: Optional[int] = None) -> str:
+        """The name _substitute and _uniquify give: "L:" + the base name
+        inside the copy labelled L, with a "~" appended while a base vertex
+        or an earlier interior of the copy holds the name.  L holds no ":",
+        so the names of other copies begin otherwise."""
+        label, names = self.vertex_label(vid, level), self.base.graph.names
+        if len(label) == 1:
+            return names[vid]
+        prefix, taken = "/".join(map(str, label[:-1])) + ":", set(names)
+        for x in self._interiors[:self._interiors.index(label[-1]) + 1]:
+            name = prefix + names[x]
+            while name in taken:
+                name += "~"
+            taken.add(name)
+        return name
+
+
+@dataclass(frozen=True)
+class SlashPower(LabeledPower):
+    """Materialized slash power: a LabeledPower that stores its level graphs."""
+
     levels: tuple[SlashLevel, ...]
 
     @property
@@ -194,52 +284,19 @@ class SlashPower:
     def metric(self) -> GeodesicMetric:
         return self.graph.graph.metric
 
-    @cached_property
-    def _layout(self) -> _Layout:
-        return _Layout(self.base.graph)
-
     def level_graph(self, level: int) -> MeasuredGraph:
-        if not (1 <= level <= self.n):
-            raise InputError(f"level {level} out of range 1..{self.n}")
-        return self.levels[level - 1].measured
+        return self.levels[self._level(level) - 1].measured
 
-    def edge_label(self, eidx: int, level: Optional[int] = None) -> EdgeLabel:
-        lv = self.n if level is None else level
-        _require_index("edge", eidx, self.level_graph(lv).graph.edge_count)
-        return self._layout.label(eidx, lv)
-
-    def edge_index(self, label: Sequence[int]) -> int:
-        """The edge of level len(label) with this label."""
-        self.level_graph(len(label))
-        for d in label:
-            _require_index("edge coordinate", d, self.base.graph.edge_count)
-        return self._layout.index(label)
-
-    def label_strings(self) -> list[str]:
-        """The slash-joined label of every edge, in edge order."""
-        return self._layout.label_strings(self.n)
-
-    def resolve_vertex(self, level: int, prev_edge: int, base_vertex: int) -> int:
-        """Vertex of `level` sitting at `base_vertex` inside the copy that
-        replaced edge `prev_edge` of the previous level."""
-        if not (2 <= level <= self.n):
-            raise InputError(f"level {level} has no copies in a power of {self.n}")
-        prev = self.level_graph(level - 1).graph
-        _require_index("edge", prev_edge, prev.edge_count)
-        _require_index("base vertex", base_vertex, self.base.graph.vertex_count)
-        return self._layout.copy_vertex(prev, prev_edge, base_vertex)
-
-    def vertex_label(self, vid: int, level: Optional[int] = None) -> VertexLabel:
-        """Canonical label: the shortest (lexicographically least) address."""
-        lv = self.n if level is None else level
-        _require_index("vertex", vid, self.level_graph(lv).graph.vertex_count)
-        while lv > 1:
-            prev = self.level_graph(lv - 1).graph
-            if vid >= prev.vertex_count:
-                prev_edge, v = self._layout.copy_address(prev, vid)
-                return self._layout.label(prev_edge, lv - 1) + (v,)
-            lv -= 1
-        return (vid,)
+    def _copy_walk(self, prev: StGraph, prev_edge: int, walk: Sequence[int]
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """A walk of the base graph inside the copy of edge prev_edge of the
+        level graph prev: its vertices but the last, and its edges, numbered
+        in the next level."""
+        g = self.base.graph
+        first = prev_edge * g.edge_count
+        count, ends = prev.vertex_count, prev.edges[prev_edge]
+        return (tuple(self._copy_vertex(count, ends, prev_edge, v) for v in walk[:-1]),
+                tuple(first + g.edge_index(a, b) for a, b in zip(walk, walk[1:])))
 
 
 def slash_power(mg: MeasuredGraph, n: int) -> SlashPower:
@@ -255,12 +312,12 @@ def slash_power(mg: MeasuredGraph, n: int) -> SlashPower:
         raise CapExceeded(f"power {n} of a {e}-edge base exceeds the edge cap {cap}")
     _require_normalized(mg, "base")
 
-    layout = _Layout(mg.graph)
     levels = [SlashLevel(measured=mg)]
     for k in range(1, n):
+        labels = LabeledPower(mg, k).label_strings()
         levels.append(SlashLevel(measured=_raw_product(
             levels[-1].measured, mg,
-            lambda ei, v, k=k: f"{layout.label_strings(k)[ei]}:{mg.graph.names[v]}")))
+            lambda ei, v, labels=labels: f"{labels[ei]}:{mg.graph.names[v]}")))
     return SlashPower(base=mg, n=n, levels=tuple(levels))
 
 
@@ -302,7 +359,7 @@ def _lift(power: SlashPower, level: int, walk: Sequence[int],
             checked.add(id(choice))
         ei = src.edge_index(a, b)
         way = choice if src.edges[ei] == (a, b) else choice[::-1]
-        out.extend(power._layout.copy_walk(src, ei, way)[0])
+        out.extend(power._copy_walk(src, ei, way)[0])
     if not closed:
         out.append(stops[-1])
     if len(set(out)) != len(out):

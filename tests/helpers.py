@@ -311,8 +311,8 @@ def associativity_isomorphism_check(mg: MeasuredGraph) -> bool:
     left = _raw_product(inner, mg, lambda ei, v: f"L{ei}:{mg.graph.names[v]}")
     right = _raw_product(mg, inner, lambda ei, v: f"R{ei}:{inner.graph.names[v]}")
 
-    # By slash._Layout, edge i of either side substitutes the base edges
-    # given by the three base-e digits of i.
+    # By slash.LabeledPower's layout, edge i of either side substitutes the
+    # base edges given by the three base-e digits of i.
     phi: dict[int, int] = {}
     for i in range(left.graph.edge_count):
         if left.graph.weights[i] != right.graph.weights[i]:

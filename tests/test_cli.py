@@ -292,7 +292,7 @@ def document_commands(tmp_path, diamond_file):
             "subgraph": witness.subgraph.graph})),
         (["pipeline", "--graph", str(diamond_file)], dumps_document({
             "n": result.n, "c0": ser.fraction_str(result.c0),
-            "power_edges": result.power.graph.graph.edge_count,
+            "power_edges": result.power.edge_count,
             "support_edges": sum(1 for x in result.measure.nu if x),
             "subgraph": laakso_measure(result.subgraph.graph,
                                        result.subgraph.structure)})),

@@ -5,6 +5,7 @@ here as a changed digest; the product check ties every power value to the
 base values along its edge label.  Every exit of the pipeline, and the
 oracle's JSON report, has a digest of its own as well."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ from helpers import diamond, laakso0230, laakso1221, theta, three_branch
 from slashpow import build_cycle, build_laakso
 from slashpow import serialization as ser
 from slashpow.cli import EXIT_OK, main
+from slashpow.constructions import MeasuredGraph
 
 # (parameters, --weights, sha256 of `power --n 4 --out`)
 WEIGHTED_POWERS = (
@@ -109,6 +111,51 @@ def test_pipeline_0240_is_byte_identical(tmp_path, monkeypatch):
                  "--out", "l.json"]) == EXIT_OK
     assert main(["pipeline", "--graph", "l.json", "--out", "r.json"]) == EXIT_OK
     assert _sha256((tmp_path / "r.json").read_bytes()) == PIPELINE_0240
+
+
+def test_pipeline_0240_fits_a_2000_edge_cap(tmp_path, monkeypatch):
+    # The extraction's power (1,728 edges) is built; G^6 (46,656 edges) is
+    # read by labels.
+    monkeypatch.setenv("SLASHPOW_MAX_EDGES", "2000")
+    test_pipeline_0240_is_byte_identical(tmp_path, monkeypatch)
+
+
+def renamed_s_0230():
+    """Uniform (0,2,3,0) with s named "0:y1_1", the name a power gives
+    y1_1 in the copy of edge 0 unless it is taken: there it is "0:y1_1~"."""
+    mg = laakso0230()
+    names = ("0:y1_1",) + mg.graph.names[1:]
+    return MeasuredGraph(graph=dataclasses.replace(mg.graph, names=names), nu=mg.nu)
+
+
+# (`build --cycle` argument or input, sha256 of `pipeline --out` on it),
+# recorded when the pipeline still built the whole of G^N: at the default
+# edge cap the 2+9 cycle's G^6 (1,771,561 edges) did not fit, and its
+# digest was recorded under SLASHPOW_MAX_EDGES=2000000.
+LABELED_PIPELINE_GOLDENS = {
+    "2+7 cycle": ("1/2,1/2;" + "1/7," * 7,
+                  "1aa6fdb5b5094a35f3048d075d8c0eba1b6e249a5a5a573ef5479163fb70ec62"),
+    "2+9 cycle": ("1/2,1/2;" + "1/9," * 9,
+                  "3510dc3c1afd2b6d92132764b6f2b18c143dcded3c7918912937155a0480cba7"),
+    "0,2,3,0 with s named 0:y1_1": (
+        renamed_s_0230, "f860e513df1ff655fac156e4d4127ef1663753f3d0483166bb9b54cd4ac1851c"),
+}
+
+
+@pytest.mark.parametrize("source,digest", LABELED_PIPELINE_GOLDENS.values(),
+                         ids=LABELED_PIPELINE_GOLDENS)
+def test_pipeline_reading_g_n_by_labels_is_byte_identical(tmp_path, monkeypatch,
+                                                          source, digest):
+    monkeypatch.chdir(tmp_path)
+    if isinstance(source, str):
+        assert main(["build", "--cycle", source, "--out", "g.json"]) == EXIT_OK
+    else:
+        (tmp_path / "g.json").write_text(ser.dumps(source()))
+    assert main(["pipeline", "--graph", "g.json", "--out", "r.json"]) == EXIT_OK
+    data = (tmp_path / "r.json").read_bytes()
+    assert _sha256(data) == digest
+    if not isinstance(source, str):
+        assert "0:y1_1~" in json.loads(data)["subgraph"]["vertices"]
 
 
 @pytest.mark.parametrize("make,digest", PIPELINE_GOLDENS.values(), ids=PIPELINE_GOLDENS)

@@ -156,7 +156,7 @@ def test_bulk_enumeration_matches_the_lift_cycle_reference(base, n):
 
 def test_enumeration_checks_every_cycle_against_the_graph(monkeypatch):
     power = slash_power(diamond(), 2)
-    copy_walk = slash._Layout.copy_walk
+    copy_walk = slash.SlashPower._copy_walk
 
     def shifted_edges(self, prev, prev_edge, walk):
         vertices, edges = copy_walk(self, prev, prev_edge, walk)
@@ -167,7 +167,7 @@ def test_enumeration_checks_every_cycle_against_the_graph(monkeypatch):
         return vertices[:1] * len(vertices), edges
 
     for fake, message in ((shifted_edges, "leaves the graph"), (revisits, "revisits")):
-        monkeypatch.setattr(slash._Layout, "copy_walk", fake)
+        monkeypatch.setattr(slash.SlashPower, "_copy_walk", fake)
         with pytest.raises(InvalidPath, match=message):
             enumerate_max_cycles(power)
 
@@ -412,14 +412,21 @@ def test_pipeline_builds_no_all_pairs_metric_of_its_input():
 def test_isometry_check_matches_dijkstra_over_the_power():
     # The lazy ambient distances on the sampled pairs against Dijkstra over
     # the materialized power, on every input that reaches the check (an
-    # input returned at n = 1 does not).
+    # input returned at n = 1 does not).  The subgraph read by labels is the
+    # one read off the materialized power.
     checked = []
     for name, make in PIPELINE_INPUTS.items():
-        r = balanced_laakso_pipeline(make())
+        mg = make()
+        r = balanced_laakso_pipeline(mg)
         if r.n == 1:
             continue
-        big, sub = r.power.graph.graph, r.subgraph
-        assert "und_adj" not in big.__dict__  # the pipeline never walked it
+        big, sub = slash_power(mg, r.n).graph.graph, r.subgraph
+        assert type(r.power) is slash.LabeledPower  # the pipeline built no G^N
+        segments = [[sub.parent_vertices[v] for v in seg] for seg in (
+            sub.structure.stem, sub.structure.branch1, sub.structure.branch2,
+            sub.structure.tail)]
+        read = sp.build_laakso_subgraph(big, *segments)
+        assert read == sub and read.graph.names == sub.graph.names
         lazy = LazyPowerMetric(r.power.base, r.n)
         labels = [r.power.vertex_label(pv) for pv in sub.parent_vertices]
         nv = sub.graph.vertex_count
@@ -432,6 +439,33 @@ def test_isometry_check_matches_dijkstra_over_the_power():
     assert checked == ["0,2,4,0", "0,2,3,0", "theta"]
 
 
+def test_pipeline_builds_no_power_of_its_input_above_two(monkeypatch):
+    # G^N is read by labels; only G^2 and powers of the extraction are built.
+    built = []
+    real = slash_power
+
+    def spy(mg, n):
+        built.append((mg, n))
+        return real(mg, n)
+
+    monkeypatch.setattr("slashpow.laakso.slash_power", spy)
+    for make in PIPELINE_INPUTS.values():
+        mg = make()
+        r = balanced_laakso_pipeline(mg)
+        own = [n for g, n in built if g is mg]
+        assert own == ([2] if r.n > 1 else [])
+        assert type(r.power) is slash.LabeledPower and r.power.base is mg
+    assert max(n for _, n in built) >= 3  # the extraction's powers
+
+
+def test_pipeline_subgraph_is_capped(monkeypatch):
+    # The subgraph is the one graph the pipeline builds at N = 1.
+    d = diamond()
+    monkeypatch.setenv("SLASHPOW_MAX_EDGES", "3")
+    with pytest.raises(CapExceeded, match="Laakso subgraph would have 4 edges, cap 3"):
+        balanced_laakso_pipeline(d)
+
+
 @pytest.mark.parametrize("swap, pair", [((3, 4), (0, 3)), ((1, 17), (4, 1))])
 def test_isometry_check_names_the_first_bad_pair(swap, pair):
     # theta's subgraph is one 32-cycle, sampled at rows 0, 4, 8, ...;
@@ -442,7 +476,8 @@ def test_isometry_check_names_the_first_bad_pair(swap, pair):
     parents[a], parents[b] = parents[b], parents[a]
     bad = dataclasses.replace(r.subgraph, parent_vertices=tuple(parents))
     for check, big in ((_spot_check_isometry, r.power),
-                       (reference_spot_check_isometry, r.power.graph.graph)):
+                       (reference_spot_check_isometry,
+                        slash_power(theta(), r.n).graph.graph)):
         with pytest.raises(InputError) as exc:
             check(big, bad)
         assert str(exc.value) == f"subgraph is not isometric at pair {pair}"
@@ -474,7 +509,7 @@ def test_pipeline_theta():
     assert cyc_len == r.c0
 
     # Spot-check the subgraph is isometric inside the big power.
-    g = r.power.graph.graph
+    g = slash_power(theta(), r.n).graph.graph
     small_m = geodesic_metric(sub.graph)
     rng = random.Random(1)
     nv = sub.graph.vertex_count

@@ -144,10 +144,9 @@ def test_same_solution_as_reference_on_oracle_topologies(mg, stride, monkeypatch
     assert len(solved) == len(trees)
 
 
-def test_same_solution_as_reference_on_random_instances():
-    # Fractional and negative coefficients, zero and duplicated rows (which
-    # leave artificials to evict after phase 1), feasible, infeasible and
-    # unbounded instances: the same x, value or LPError message every time.
+def _random_instances():
+    """600 seeded (c, a, b) with fractional and negative coefficients, zero
+    and duplicated rows (which leave artificials to evict after phase 1)."""
     rng = random.Random(20230609)
 
     def coeff():
@@ -155,7 +154,6 @@ def test_same_solution_as_reference_on_random_instances():
             return F(0)
         return F(rng.randrange(-3, 7), rng.choice((1, 1, 2, 3, 5, 7)))
 
-    outcomes = {}
     for _ in range(600):
         n = rng.randrange(0, 6)
         m = rng.randrange(0, 7)
@@ -166,7 +164,14 @@ def test_same_solution_as_reference_on_random_instances():
             k = F(rng.randrange(1, 4), rng.randrange(1, 4))
             a.append([k * v for v in a[i]])
             b.append(k * b[i])
-        c = [coeff() for _ in range(n)]
+        yield [coeff() for _ in range(n)], a, b
+
+
+def test_same_solution_as_reference_on_random_instances():
+    # Feasible, infeasible and unbounded instances: the same x, value or
+    # LPError message every time.
+    outcomes = {}
+    for c, a, b in _random_instances():
         mine = _outcome(solve_min, c, a, b)
         assert mine == _outcome(lp_reference.solve_min, c, a, b)
         kind = mine if isinstance(mine, str) else "optimal"
@@ -174,6 +179,30 @@ def test_same_solution_as_reference_on_random_instances():
     assert set(outcomes) == {"optimal", "infeasible constraints",
                              "unbounded objective"}
     assert min(outcomes.values()) >= 100
+
+
+def test_value_is_the_cost_of_x(monkeypatch):
+    # The value is read off the objective row's rhs, not summed from x: it
+    # must equal c.x exactly on every optimal instance above and on the
+    # oracle's topologies.
+    solved = []
+
+    def checked(c, a, b):
+        res = solve_min(c, a, b)
+        assert res.value == sum((F(ci) * xi for ci, xi in zip(c, res.x)), F(0))
+        solved.append(res)
+        return res
+
+    for c, a, b in _random_instances():
+        _outcome(checked, c, a, b)
+    assert len(solved) >= 100
+    monkeypatch.setattr(oracle_module, "solve_min", checked)
+    before = len(solved)
+    for mg, stride in ((diamond(), 1), (unit_cycle_measured(4), 1), (laakso1221(), 13)):
+        metric = geodesic_metric(mg.graph)
+        for _, edges in list(iter_labeled_trees(mg.graph.vertex_count))[::stride]:
+            optimal_tree_weights(metric, mg.nu, edges)
+    assert len(solved) - before == 16 + 16 + 100
 
 
 def _spy_pivots(monkeypatch):

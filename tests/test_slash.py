@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -13,9 +15,13 @@ from helpers import (
     laakso1221,
     reference_layout,
     slash_product,
+    theta,
     three_branch,
     weighted0230,
+    weighted1220,
 )
+from test_golden_powers import COLLIDING_BASE
+from slashpow import serialization as ser
 from slashpow.constructions import MeasuredGraph, build_path
 from slashpow.core import (
     enumerate_st_paths,
@@ -25,6 +31,7 @@ from slashpow.core import (
 )
 from slashpow.errors import CapExceeded, InputError, InvalidPath, NotNormalized
 from slashpow.slash import (
+    LabeledPower,
     LazyPowerMetric,
     lift_cycle,
     lift_path,
@@ -121,6 +128,73 @@ def test_layout_matches_stored_reference(make, n):
     assert [pw.vertex_label(v) for v in range(len(vertex_labels))] == vertex_labels
 
 
+def renamed_diamond(*names: str) -> MeasuredGraph:
+    d = diamond()
+    return MeasuredGraph(graph=dataclasses.replace(d.graph, names=names), nu=d.nu)
+
+
+# Vertex names that collide with the names the power gives copy interiors:
+# "L:" + a base name, "~"-extended, across copies, levels and renamings.
+COLLIDING_NAMES = (("s", "a", "0:a", "t"), ("s", "a", "0:a~", "0:a"),
+                   ("0:a", "a", "a~", "0:a~"), ("s", "1:b", "b", "1:b~"),
+                   ("x:y", "y", "0:x:y", "t"), ("0/1:a", "a", "0:a", "1/0:a"))
+LABELED_CASES = (
+    [(f"diamond^{n}", diamond, n) for n in range(1, 5)]
+    + [(f"1221^{n}", laakso1221, n) for n in range(1, 4)]
+    + [("weighted 1220^2", weighted1220, 2), ("theta^3", theta, 3),
+       ("colliding^3", lambda: ser.loads(COLLIDING_BASE), 3)]
+    + [(f"diamond{names}^3", lambda names=names: renamed_diamond(*names), 3)
+       for names in COLLIDING_NAMES])
+
+
+@pytest.mark.parametrize("make,n", [case[1:] for case in LABELED_CASES],
+                         ids=[case[0] for case in LABELED_CASES])
+def test_labeled_power_reads_the_materialized_power(make, n):
+    # Counts, edge ends, the edge joining each pair (either order), weights
+    # and names from labels alone, against the level graphs; labels,
+    # copies and label lookup against the stored reference layout.
+    base = make()
+    pw, lp = slash_power(base, n), LabeledPower(base, n)
+    assert lp.edge_count == pw.graph.graph.edge_count
+    for level, (_, labels, tables, vertex_labels) in enumerate(
+            reference_layout(base, n), start=1):
+        g = pw.level_graph(level).graph
+        assert lp.vertex_count(level) == g.vertex_count
+        assert [lp.edge_ends(i, level) for i in range(g.edge_count)] == list(g.edges)
+        for u, v in itertools.product(range(g.vertex_count), repeat=2):
+            if (u, v) in g.edge_ids:
+                assert lp.edge_between(u, v, level) == g.edge_ids[u, v]
+            elif u < v:
+                with pytest.raises(InvalidPath, match=f"no edge between {u} and {v}"):
+                    lp.edge_between(u, v, level)
+        assert [lp.weight(i, level) for i in range(g.edge_count)] == list(g.weights)
+        assert [lp.vertex_name(v, level) for v in range(g.vertex_count)] == list(g.names)
+        assert [lp.vertex_label(v, level) for v in range(g.vertex_count)] == vertex_labels
+        assert [lp.edge_index(label) for label in labels] == list(range(len(labels)))
+        if tables is not None:
+            nv = base.graph.vertex_count
+            assert [tuple(lp.resolve_vertex(level, ei, v) for v in range(nv))
+                    for ei in range(len(tables))] == tables
+
+
+def test_labeled_power_refuses_a_weight_too_long_to_print():
+    # As in _scaled_rows: 1/10**400 has 401 digits, so a limit of 640
+    # digits passes the base weights but not their square.
+    tiny = F(1, 10 ** 400)
+    base = sp.build_cycle([tiny, 1 - tiny], [F(1, 2), F(1, 2)])
+    lp = LabeledPower(base, 3)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert lp.weight(0, 1) == tiny
+        with pytest.raises(CapExceeded, match="more than 640 decimal digits"):
+            lp.weight(0, 2)
+        with pytest.raises(CapExceeded, match="more than 640 decimal digits"):
+            slash_power(base, 2)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_level_graph_refuses_out_of_range_levels():
     pw = slash_power(diamond(), 2)
     for level in (-1, 0, 3):
@@ -129,37 +203,46 @@ def test_level_graph_refuses_out_of_range_levels():
 
 
 def test_resolve_vertex_refuses_out_of_range_addresses():
-    pw = slash_power(diamond(), 2)
-    for level in (-1, 0, 1, 3):
-        with pytest.raises(InputError, match=f"level {level} has no copies in a power of 2"):
-            pw.resolve_vertex(level, 0, 1)
-    for prev_edge in (-1, 4):
-        with pytest.raises(InputError, match=f"edge {prev_edge} out of range 0..3"):
-            pw.resolve_vertex(2, prev_edge, 1)
-    for v in (-1, 4):
-        with pytest.raises(InputError, match=f"base vertex {v} out of range 0..3"):
-            pw.resolve_vertex(2, 0, v)
+    for pw in (slash_power(diamond(), 2), LabeledPower(diamond(), 2)):
+        for level in (-1, 0, 1, 3):
+            with pytest.raises(InputError,
+                               match=f"level {level} has no copies in a power of 2"):
+                pw.resolve_vertex(level, 0, 1)
+        for prev_edge in (-1, 4):
+            with pytest.raises(InputError, match=f"edge {prev_edge} out of range 0..3"):
+                pw.resolve_vertex(2, prev_edge, 1)
+        for v in (-1, 4):
+            with pytest.raises(InputError, match=f"base vertex {v} out of range 0..3"):
+                pw.resolve_vertex(2, 0, v)
 
 
 def test_edge_label_refuses_out_of_range_edges():
-    pw = slash_power(diamond(), 2)
-    for eidx, level in ((-1, None), (16, None), (-1, 1), (4, 1)):
-        with pytest.raises(InputError, match=f"edge {eidx} out of range"):
-            pw.edge_label(eidx, level)
-    with pytest.raises(InputError, match="level 3 out of range"):
-        pw.edge_label(0, 3)
-    for label in ((), (0, 0, 0), (4, 0), (0, -1)):
-        with pytest.raises(InputError, match="out of range"):
-            pw.edge_index(label)
+    for pw in (slash_power(diamond(), 2), LabeledPower(diamond(), 2)):
+        for eidx, level in ((-1, None), (16, None), (-1, 1), (4, 1)):
+            for read in (pw.edge_label, pw.edge_ends, pw.weight):
+                with pytest.raises(InputError, match=f"edge {eidx} out of range"):
+                    read(eidx, level)
+        for read in (pw.edge_label, pw.edge_ends, pw.weight):
+            with pytest.raises(InputError, match="level 3 out of range"):
+                read(0, 3)
+        for label in ((), (0, 0, 0), (4, 0), (0, -1)):
+            with pytest.raises(InputError, match="out of range"):
+                pw.edge_index(label)
 
 
 def test_vertex_label_refuses_out_of_range_vertices():
-    pw = slash_power(diamond(), 2)
-    for vid, level in ((-1, None), (12, None), (-1, 1), (4, 1)):
-        with pytest.raises(InputError, match=f"vertex {vid} out of range"):
-            pw.vertex_label(vid, level)
-    with pytest.raises(InputError, match="level 0 out of range"):
-        pw.vertex_label(0, 0)
+    for pw in (slash_power(diamond(), 2), LabeledPower(diamond(), 2)):
+        for vid, level in ((-1, None), (12, None), (-1, 1), (4, 1)):
+            for read in (pw.vertex_label, pw.vertex_name,
+                         lambda v, lv: pw.edge_between(0, v, lv),
+                         lambda v, lv: pw.edge_between(v, 0, lv)):
+                with pytest.raises(InputError, match=f"vertex {vid} out of range"):
+                    read(vid, level)
+        for read in (pw.vertex_label, pw.vertex_name, lambda v, lv: pw.edge_between(0, 1, lv)):
+            with pytest.raises(InputError, match="level 0 out of range"):
+                read(0, 0)
+        with pytest.raises(InputError, match="level 3 out of range"):
+            pw.vertex_count(3)
 
 
 def test_one_edge_power_stores_no_labels():
