@@ -47,7 +47,6 @@ from .laakso import (
 )
 from .slash import (
     LabeledPower,
-    LazyPowerMetric,
     SlashPower,
     lift_cycle,
     lift_path,

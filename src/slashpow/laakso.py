@@ -50,7 +50,6 @@ from .errors import (
 from .slash import (
     EdgeLabel,
     LabeledPower,
-    LazyPowerMetric,
     SlashPower,
     _require_base_st_path,
     lift_cycle,
@@ -483,19 +482,17 @@ def _spot_check_isometry(power: LabeledPower, sub: LaaksoSubgraph) -> None:
     """Induced distances from the subgraph vertices range(0, nv, max(1,
     nv // 8)) must equal the ambient restriction: all nv of them when
     nv < 16, otherwise 8 to 12 spread evenly over the vertex ids.  Ambient
-    distances come from LazyPowerMetric on the vertices' canonical labels,
-    so the power's adjacency is never built."""
-    small = sub.graph
-    lazy = LazyPowerMetric(power.base, power.n)
-    big_scale, small_scale = lazy.scale, small.weight_scale
-    labels = [power.vertex_label(pv) for pv in sub.parent_vertices]
+    distances come from power.scaled_distance, so the power's adjacency is
+    never built."""
+    small, pv = sub.graph, sub.parent_vertices
+    big_scale, small_scale = power.scale, small.weight_scale
     nv = small.vertex_count
     step = max(1, nv // 8)
     for u in range(0, nv, step):
         row = single_source_distances(small, u)
         for v in range(nv):
             # d_small(u, v) == d_big, cross-multiplied by both scales
-            ambient = lazy.scaled_distance(labels[u], labels[v])
+            ambient = power.scaled_distance(pv[u], pv[v])
             if row[v] * big_scale != ambient * small_scale:
                 raise InputError(
                     f"subgraph is not isometric at pair ({u}, {v})")

@@ -9,9 +9,10 @@ prefixes of higher ones, which keeps lifting of paths cheap.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -141,19 +142,41 @@ class SlashLevel:
 
 @dataclass(frozen=True)
 class LabeledPower:
-    """The n-th slash power of a checked base (see slash_power), addressed
-    by labels alone as _substitute lays it out: edge i of level k is edge
+    """The n-th slash power of a normalized geodesic base, addressed by
+    labels alone as _substitute lays it out: edge i of level k is edge
     i % e of the copy that replaced edge i // e of level k-1, so its label
     is the k base-e digits of i, and the vertices new at level k follow
     level k-1's, one block of the base's interior vertices per replaced
-    edge.  No level graph is built."""
+    edge.  No level graph is built.  Distances are integers over `scale`,
+    the base's weight_scale to the n-th power, as in GeodesicMetric."""
 
     base: MeasuredGraph
     n: int
+    # memos by (level, edge), vertex pair, vertex and base source
+    _ends_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _dist_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _exits_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _base_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise InputError("power must be at least 1")
+        _require_normalized(self.base, "base")
 
     @cached_property
     def _interiors(self) -> tuple[int, ...]:
         return _interiors(self.base.graph)
+
+    @cached_property
+    def _counts(self) -> tuple[int, ...]:
+        """V_1..V_n: V_1 = |V| and V_{k+1} = V_k + e**k * |interiors|."""
+        g = self.base.graph
+        return tuple(itertools.accumulate((g.edge_count ** k * len(self._interiors)
+                                           for k in range(1, self.n)), initial=g.vertex_count))
+
+    @cached_property
+    def scale(self) -> int:
+        return self.base.graph.weight_scale ** self.n
 
     def _level(self, level: Optional[int]) -> int:
         lv = self.n if level is None else level
@@ -170,15 +193,33 @@ class LabeledPower:
             return ends[0 if v == g.s else 1]
         return prev_count + prev_edge * len(self._interiors) + self._interiors.index(v)
 
+    def _ends(self, lv: int, eidx: int) -> tuple[int, int]:
+        """edge_ends unchecked, derived once per edge."""
+        ends = self._ends_memo.get((lv, eidx))
+        if ends is None:
+            g = self.base.graph
+            prev_edge, j = divmod(eidx, g.edge_count)
+            ends = g.edges[j] if lv == 1 else tuple(
+                self._copy_vertex(self._counts[lv - 2], self._ends(lv - 1, prev_edge),
+                                  prev_edge, x) for x in g.edges[j])
+            self._ends_memo[lv, eidx] = ends
+        return ends
+
+    def _address(self, vid: int) -> tuple[int, int, int]:
+        """(k, c, x): vertex vid is new at level k, at base vertex x of the
+        copy that replaced edge c of level k-1 (at level 1, c = 0)."""
+        k = bisect.bisect_right(self._counts, vid) + 1
+        if k == 1:
+            return 1, 0, vid
+        c, rank = divmod(vid - self._counts[k - 2], len(self._interiors))
+        return k, c, self._interiors[rank]
+
     @property
     def edge_count(self) -> int:
         return self.base.graph.edge_count ** self.n
 
     def vertex_count(self, level: Optional[int] = None) -> int:
-        """V_1 = |V| and V_{k+1} = V_k + e**k * |interiors|."""
-        lv, e = self._level(level), self.base.graph.edge_count
-        return self.base.graph.vertex_count + len(self._interiors) * (
-            lv - 1 if e == 1 else (e ** lv - e) // (e - 1))
+        return self._counts[self._level(level) - 1]
 
     def edge_label(self, eidx: int, level: Optional[int] = None) -> EdgeLabel:
         lv, e = self._level(level), self.base.graph.edge_count
@@ -195,13 +236,9 @@ class LabeledPower:
 
     def edge_ends(self, eidx: int, level: Optional[int] = None) -> tuple[int, int]:
         """(tail, head) of an edge."""
-        lv, g = self._level(level), self.base.graph
-        label = self.edge_label(eidx, lv)
-        if lv == 1:
-            return g.edges[eidx]
-        prev_edge = eidx // g.edge_count
-        count, ends = self.vertex_count(lv - 1), self.edge_ends(prev_edge, lv - 1)
-        return tuple(self._copy_vertex(count, ends, prev_edge, v) for v in g.edges[label[-1]])
+        lv = self._level(level)
+        _require_index("edge", eidx, self.base.graph.edge_count ** lv)
+        return self._ends(lv, eidx)
 
     def edge_between(self, u: int, v: int, level: Optional[int] = None) -> int:
         """The edge joining vertices u and v; InvalidPath when none does.  It
@@ -212,10 +249,10 @@ class LabeledPower:
             _require_index("vertex", w, self.vertex_count(lv))
         if lv == 1:
             return g.edge_index(u, v)
-        count = self.vertex_count(lv - 1)
-        prev_edge = (self.edge_index(self.vertex_label(max(u, v), lv)[:-1])
-                     if max(u, v) >= count else self.edge_between(u, v, lv - 1))
-        ends = self.edge_ends(prev_edge, lv - 1)
+        k, prev_edge, _ = self._address(max(u, v))
+        if k < lv:
+            prev_edge = self.edge_between(u, v, lv - 1)
+        count, ends = self._counts[lv - 2], self._ends(lv - 1, prev_edge)
         for j, edge in enumerate(g.edges):
             if {self._copy_vertex(count, ends, prev_edge, x) for x in edge} == {u, v}:
                 return prev_edge * g.edge_count + j
@@ -239,19 +276,13 @@ class LabeledPower:
             raise InputError(f"level {level} has no copies in a power of {self.n}")
         ends = self.edge_ends(prev_edge, level - 1)
         _require_index("base vertex", base_vertex, self.base.graph.vertex_count)
-        return self._copy_vertex(self.vertex_count(level - 1), ends, prev_edge, base_vertex)
+        return self._copy_vertex(self._counts[level - 2], ends, prev_edge, base_vertex)
 
     def vertex_label(self, vid: int, level: Optional[int] = None) -> VertexLabel:
         """Canonical label: the shortest (lexicographically least) address."""
-        lv = self._level(level)
-        _require_index("vertex", vid, self.vertex_count(lv))
-        while lv > 1:
-            count = self.vertex_count(lv - 1)
-            if vid >= count:
-                prev_edge, rank = divmod(vid - count, len(self._interiors))
-                return self.edge_label(prev_edge, lv - 1) + (self._interiors[rank],)
-            lv -= 1
-        return (vid,)
+        _require_index("vertex", vid, self.vertex_count(level))
+        k, c, x = self._address(vid)
+        return self.edge_label(c, k - 1) + (x,) if k > 1 else (vid,)
 
     def vertex_name(self, vid: int, level: Optional[int] = None) -> str:
         """The name _substitute and _uniquify give: "L:" + the base name
@@ -268,6 +299,64 @@ class LabeledPower:
                 name += "~"
             taken.add(name)
         return name
+
+    def scaled_distance(self, u: int, v: int) -> int:
+        """The distance between vertices u and v of level n, times scale: an
+        exact integer."""
+        for w in (u, v):
+            _require_index("vertex", w, self.vertex_count())
+        return self._dist(u, v)
+
+    def _base_d(self, u: int, v: int) -> int:
+        """Base distance times the base's weight_scale, read off u's
+        single-source row, which is computed on first use: the base's
+        all-pairs metric is never built."""
+        row = self._base_rows.get(u)
+        if row is None:
+            row = self._base_rows[u] = single_source_distances(self.base.graph, u)
+        return row[v]
+
+    def _copy_weight(self, k: int, c: int) -> int:
+        """The weight of the copy of edge c of level k-1 times
+        weight_scale**(n-1): times a _base_d value it gives a distance times
+        scale."""
+        g, e = self.base.graph, self.base.graph.edge_count
+        return g.weight_scale ** (self.n - k) * math.prod(
+            g.int_weights[c // e ** j % e] for j in range(k - 1))
+
+    def _exits(self, w: int) -> tuple[tuple[int, int], ...]:
+        """The ways out of the copy that vertex w is new in, as (distance
+        times scale, copy end one level down)."""
+        exits = self._exits_memo.get(w)
+        if exits is None:
+            g, (k, c, x) = self.base.graph, self._address(w)
+            weight = self._copy_weight(k, c)
+            exits = self._exits_memo[w] = tuple(
+                (weight * self._base_d(b, x), end)
+                for b, end in zip((g.s, g.t), self._ends(k - 1, c)))
+        return exits
+
+    def _dist(self, u: int, v: int) -> int:
+        """Levels restrict exactly, so a pair is read at the level where the
+        later vertex is new.  Vertices of one copy lie its weight times their
+        base distance apart; a path out of a copy leaves by one of its ends.
+        Leaving u's copy as well, when u is new at that level too, keeps
+        fewer pairs in the memo than reaching u from v's copy ends."""
+        if u == v:
+            return 0
+        if u > v:
+            u, v = v, u
+        val = self._dist_memo.get((u, v))
+        if val is None:
+            (ku, cu, xu), (k, cv, xv) = self._address(u), self._address(v)
+            if (ku, cu) == (k, cv):
+                val = self._copy_weight(k, cv) * self._base_d(xu, xv)
+            else:
+                val = min(a + self._dist(x, y) + b
+                          for a, x in (self._exits(u) if ku == k else ((0, u),))
+                          for b, y in self._exits(v))
+            self._dist_memo[u, v] = val
+        return val
 
 
 @dataclass(frozen=True)
@@ -379,121 +468,3 @@ def lift_cycle(power: SlashPower, level: int, cycle: Sequence[int],
     """Lift a cycle (closed walk of distinct vertices) one level up, one
     base s-t path per cycle edge."""
     return _lift(power, level, cycle, choices, closed=True)
-
-
-class LazyPowerMetric:
-    """Distances in a slash power straight from labels, without materializing.
-
-    Vertex labels are tuples of base-edge ids followed by one base-vertex id;
-    a label of depth d (d edge ids) is a vertex of every power above d.
-    Distances between vertices of one copy scale by the copy weight, and
-    copy boundaries drop to the previous power, whose metric restricts
-    exactly; that recursion is memoized.  As in GeodesicMetric, distances
-    are integers over one denominator, `scale` (the base's weight_scale to
-    the n-th power), and `distance` builds the Fraction.
-    """
-
-    def __init__(self, base: MeasuredGraph, n: int):
-        if n < 1:
-            raise InputError("power must be at least 1")
-        _require_normalized(base, "base")
-        self.base = base
-        self.n = n
-        self.scale = base.graph.weight_scale ** n
-        self._rows: dict[int, tuple[int, ...]] = {}
-        self._memo: dict[tuple[int, VertexLabel, VertexLabel], int] = {}
-
-    def _base_d(self, u: int, v: int) -> int:
-        """Base distance times the base's weight_scale, read off u's
-        single-source row, which is computed on first use: the base's
-        all-pairs metric is never built."""
-        row = self._rows.get(u)
-        if row is None:
-            row = self._rows[u] = single_source_distances(self.base.graph, u)
-        return row[v]
-
-    def _check_label(self, lab: VertexLabel) -> None:
-        g = self.base.graph
-        if not lab or len(lab) > self.n:
-            raise InputError(f"label {lab} out of range for power {self.n}")
-        for e in lab[:-1]:
-            if not (0 <= e < g.edge_count):
-                raise InputError(f"bad edge coordinate in {lab}")
-        if not (0 <= lab[-1] < g.vertex_count):
-            raise InputError(f"bad vertex coordinate in {lab}")
-        if len(lab) > 1 and lab[-1] in (g.s, g.t):
-            raise InputError(f"label {lab} is not canonical (boundary vertex)")
-
-    def _copy_weight(self, edge_label: EdgeLabel) -> int:
-        """The copy's weight times weight_scale**(n - 1): times a _base_d
-        value it gives a distance times scale."""
-        g = self.base.graph
-        w = g.weight_scale ** (self.n - 1 - len(edge_label))
-        for e in edge_label:
-            w *= g.int_weights[e]
-        return w
-
-    def _endpoints(self, edge_label: EdgeLabel) -> tuple[VertexLabel, VertexLabel]:
-        g = self.base.graph
-        u, v = g.edges[edge_label[-1]]
-        if len(edge_label) == 1:
-            return (u,), (v,)
-        prefix = edge_label[:-1]
-        return self._resolve(prefix, u), self._resolve(prefix, v)
-
-    def _resolve(self, edge_label: EdgeLabel, v: int) -> VertexLabel:
-        g = self.base.graph
-        if v == g.s:
-            return self._endpoints(edge_label)[0]
-        if v == g.t:
-            return self._endpoints(edge_label)[1]
-        return edge_label + (v,)
-
-    def distance(self, x: VertexLabel, y: VertexLabel) -> Fraction:
-        return Fraction(self.scaled_distance(x, y), self.scale)
-
-    def scaled_distance(self, x: VertexLabel, y: VertexLabel) -> int:
-        """distance(x, y) times scale, an exact integer."""
-        self._check_label(x)
-        self._check_label(y)
-        return self._dist(self.n, tuple(x), tuple(y))
-
-    def _dist(self, k: int, x: VertexLabel, y: VertexLabel) -> int:
-        if x == y:
-            return 0
-        if x > y:
-            x, y = y, x
-        key = (k, x, y)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if k == 1:
-            val = self._copy_weight(()) * self._base_d(x[0], y[0])
-            self._memo[key] = val
-            return val
-        fine = k  # labels of length k live strictly inside level-k copies
-        if len(x) < fine and len(y) < fine:
-            val = self._dist(k - 1, x, y)
-        elif len(x) == fine and len(y) == fine and x[:-1] == y[:-1]:
-            val = self._copy_weight(x[:-1]) * self._base_d(x[-1], y[-1])
-        else:
-            g = self.base.graph
-
-            def options(lab: VertexLabel) -> list[tuple[int, VertexLabel]]:
-                if len(lab) < fine:
-                    return [(0, lab)]
-                copy = lab[:-1]
-                w = self._copy_weight(copy)
-                tail, head = self._endpoints(copy)
-                return [(w * self._base_d(g.s, lab[-1]), tail),
-                        (w * self._base_d(g.t, lab[-1]), head)]
-
-            val = None
-            for cx, bx in options(x):
-                for cy, by in options(y):
-                    cand = cx + self._dist(k - 1, bx, by) + cy
-                    if val is None or cand < val:
-                        val = cand
-            assert val is not None
-        self._memo[key] = val
-        return val

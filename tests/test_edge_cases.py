@@ -13,7 +13,7 @@ from slashpow.constructions import MeasuredGraph, build_laakso, laakso_from_cycl
 from slashpow.core import StGraph, cycle_edge_indices, geodesic_metric
 from slashpow.errors import InputError
 from slashpow.laakso import enumerate_max_cycles, selector_identity_sum
-from slashpow.slash import LazyPowerMetric, slash_power
+from slashpow.slash import LabeledPower, slash_power
 
 
 def crossed_quad() -> MeasuredGraph:
@@ -121,15 +121,13 @@ def test_zero_measure_requires_restricted_flag():
 
 
 def test_lazy_metric_label_validation():
-    lazy = LazyPowerMetric(diamond(), 2)
-    with pytest.raises(InputError):
-        lazy.distance((), (0,))
-    with pytest.raises(InputError):
-        lazy.distance((0, 1, 2), (0,))  # depth beyond the power
-    with pytest.raises(InputError):
-        lazy.distance((0, 0), (1,))  # boundary vertex written non-canonically
-    with pytest.raises(InputError):
-        lazy.distance((99,), (1,))
+    # Vertex ids of diamond^2 run 0..11; each out-of-range id is refused
+    # in either argument.
+    lp = LabeledPower(diamond(), 2)
+    for bad in (-1, 12, 99):
+        for u, v in ((bad, 1), (1, bad)):
+            with pytest.raises(InputError, match=f"vertex {bad} out of range 0..11"):
+                lp.scaled_distance(u, v)
 
 
 def test_find_balanced_accepts_either_branch_order():

@@ -131,12 +131,16 @@ def renamed_s_0230():
 # (`build --cycle` argument or input, sha256 of `pipeline --out` on it),
 # recorded when the pipeline still built the whole of G^N: at the default
 # edge cap the 2+9 cycle's G^6 (1,771,561 edges) did not fit, and its
-# digest was recorded under SLASHPOW_MAX_EDGES=2000000.
+# digest was recorded under SLASHPOW_MAX_EDGES=2000000.  The 3+8 cycle's
+# was recorded with G^6 read by labels; its isometry check, on a 3,888-edge
+# subgraph, is the largest the suite runs.
 LABELED_PIPELINE_GOLDENS = {
     "2+7 cycle": ("1/2,1/2;" + "1/7," * 7,
                   "1aa6fdb5b5094a35f3048d075d8c0eba1b6e249a5a5a573ef5479163fb70ec62"),
     "2+9 cycle": ("1/2,1/2;" + "1/9," * 9,
                   "3510dc3c1afd2b6d92132764b6f2b18c143dcded3c7918912937155a0480cba7"),
+    "3+8 cycle": ("1/3,1/3,1/3;" + "1/8," * 8,
+                  "5c7e7fb29e7d044737f2db4daf83384f7093f022282c5bfe18162f0d50303881"),
     "0,2,3,0 with s named 0:y1_1": (
         renamed_s_0230, "f860e513df1ff655fac156e4d4127ef1663753f3d0483166bb9b54cd4ac1851c"),
 }

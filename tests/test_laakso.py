@@ -36,7 +36,7 @@ from slashpow.laakso import (
     max_cycle_edge_count,
     selector_identity_sum,
 )
-from slashpow.slash import LazyPowerMetric, slash_power
+from slashpow.slash import slash_power
 
 DIAMOND_P = LaaksoParams(0, 2, 2, 0)
 L1221_P = LaaksoParams(1, 2, 2, 1)
@@ -410,10 +410,10 @@ def test_pipeline_builds_no_all_pairs_metric_of_its_input():
 
 
 def test_isometry_check_matches_dijkstra_over_the_power():
-    # The lazy ambient distances on the sampled pairs against Dijkstra over
-    # the materialized power, on every input that reaches the check (an
-    # input returned at n = 1 does not).  The subgraph read by labels is the
-    # one read off the materialized power.
+    # The ambient distances read by labels on the sampled pairs against
+    # Dijkstra over the materialized power, on every input that reaches the
+    # check (an input returned at n = 1 does not).  The subgraph read by
+    # labels is the one read off the materialized power.
     checked = []
     for name, make in PIPELINE_INPUTS.items():
         mg = make()
@@ -427,14 +427,12 @@ def test_isometry_check_matches_dijkstra_over_the_power():
             sub.structure.tail)]
         read = sp.build_laakso_subgraph(big, *segments)
         assert read == sub and read.graph.names == sub.graph.names
-        lazy = LazyPowerMetric(r.power.base, r.n)
-        labels = [r.power.vertex_label(pv) for pv in sub.parent_vertices]
-        nv = sub.graph.vertex_count
+        pv, nv = sub.parent_vertices, sub.graph.vertex_count
         for u in range(0, nv, max(1, nv // 8)):
-            ambient = single_source_distances(big, sub.parent_vertices[u])
+            ambient = single_source_distances(big, pv[u])
             for v in range(nv):
-                assert lazy.distance(labels[u], labels[v]) == F(
-                    ambient[sub.parent_vertices[v]], big.weight_scale)
+                assert F(r.power.scaled_distance(pv[u], pv[v]), r.power.scale) == F(
+                    ambient[pv[v]], big.weight_scale)
         checked.append(name)
     assert checked == ["0,2,4,0", "0,2,3,0", "theta"]
 

@@ -32,7 +32,6 @@ from slashpow.core import (
 from slashpow.errors import CapExceeded, InputError, InvalidPath, NotNormalized
 from slashpow.slash import (
     LabeledPower,
-    LazyPowerMetric,
     lift_cycle,
     lift_path,
     slash_power,
@@ -414,25 +413,52 @@ def test_lift_by_single_edge_graph():
 
 
 def test_lazy_metric_matches_materialized():
-    # Unbalanced (0,2,3,0), uniform and with non-uniform weights, as well.
+    # LabeledPower.scaled_distance on every pair against Dijkstra over the
+    # materialized power: unbalanced (0,2,3,0), uniform and with
+    # non-uniform weights, colliding names, a direct s-t edge (theta) and
+    # weighted (1,2,2,0).
     for base, n in ((diamond(), 2), (diamond(), 3), (laakso1221(), 2),
-                    (laakso0230(), 3), (weighted0230(), 3)):
-        lazy = LazyPowerMetric(base, n)
-        pw = slash_power(base, n)
-        m = pw.metric
-        g = pw.graph.graph
-        for u, v in all_pairs(g.vertex_count):
-            assert lazy.distance(pw.vertex_label(u), pw.vertex_label(v)) == m.d(u, v)
+                    (laakso0230(), 3), (weighted0230(), 3),
+                    (ser.loads(COLLIDING_BASE), 3), (theta(), 3), (weighted1220(), 2)):
+        lp = LabeledPower(base, n)
+        m = slash_power(base, n).metric
+        assert lp.vertex_count() == len(m.rows)
+        for u, v in all_pairs(len(m.rows)):
+            assert F(lp.scaled_distance(u, v), lp.scale) == m.d(u, v)
+            assert lp.scaled_distance(v, u) == lp.scaled_distance(u, v)
 
 
 def test_lazy_metric_beyond_materialization():
     # Distance between s and t in any power of a normalized graph is 1,
     # queried at a depth nobody materializes.
     d = diamond()
-    lazy = LazyPowerMetric(d, 12)
-    assert lazy.distance((d.graph.s,), (d.graph.t,)) == 1
-    deep = (0,) * 11 + (1,)  # interior vertex 11 levels down
-    assert lazy.distance((d.graph.s,), deep) > 0
+    lp = LabeledPower(d, 12)
+    assert F(lp.scaled_distance(d.graph.s, d.graph.t), lp.scale) == 1
+    deep = lp.resolve_vertex(12, lp.edge_index((0,) * 11), 1)  # 11 levels down
+    assert lp.vertex_label(deep) == (0,) * 11 + (1,)
+    assert lp.scaled_distance(d.graph.s, deep) > 0
+
+
+@pytest.mark.parametrize("make,n", [(diamond, 4), (weighted0230, 3), (theta, 4),
+                                    (lambda: ser.loads(COLLIDING_BASE), 3)])
+def test_labeled_distances_restrict_to_lower_levels(make, n):
+    # The ids of level k < n are the same distance apart in the k-th and
+    # the n-th power, each over its own scale.
+    base = make()
+    top = LabeledPower(base, n)
+    for k in range(1, n):
+        low = LabeledPower(base, k)
+        for u, v in all_pairs(low.vertex_count()):
+            assert low.scaled_distance(u, v) * top.scale == top.scaled_distance(u, v) * low.scale
+
+
+def test_labeled_power_checks_its_inputs():
+    for n in (0, -1):
+        with pytest.raises(InputError, match="power must be at least 1"):
+            LabeledPower(diamond(), n)
+    with pytest.raises(NotNormalized,
+                       match="base graph is not a normalized geodesic s-t graph"):
+        LabeledPower(build_path([F(1), F(2)]), 2)
 
 
 def test_vertex_labels_canonical():
